@@ -147,7 +147,7 @@ def _run_serial(names: list[str], args, manifest: RunManifest,
                            trace=args.trace, metrics=args.metrics,
                            profile=args.profile,
                            trace_sample=args.trace_sample,
-                           report=args.report, batch=args.batch)
+                           report=args.report)
         _record(outcome, manifest)
         _report(outcome, args.out, failures)
 
@@ -191,7 +191,7 @@ def _run_supervised(names: list[str], args, manifest: RunManifest,
                  kwargs=dict(registry=None, trace=args.trace,
                              metrics=args.metrics, profile=args.profile,
                              trace_sample=args.trace_sample,
-                             report=args.report, batch=args.batch))
+                             report=args.report))
         for name in names
     ]
     config = SupervisorConfig(
@@ -352,13 +352,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="render each experiment's artifacts to a "
                              "deterministic <name>.report.md "
                              "(python -m repro.obs report)")
-    parser.add_argument("--batch", action="store_true",
-                        help="prime pipelined readers with "
-                             "doorbell-batched cohorts so experiments "
-                             "that support it (table1, table5) exercise "
-                             "the batched descriptor fast path; rates "
-                             "shift slightly with the saved doorbells, "
-                             "so compare runs only within one setting")
     parser.add_argument("--profile", action="store_true",
                         help="wrap each experiment in cProfile and write "
                              "<name>.prof.txt (wall-clock profiling; "
@@ -405,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed, "smoke": args.smoke, "full": args.full,
         "trace": args.trace, "trace_sample": args.trace_sample,
         "metrics": args.metrics, "profile": args.profile,
-        "report": args.report, "batch": args.batch,
+        "report": args.report,
         "fleet_metrics": args.fleet_metrics,
         "slo": spec.name if spec is not None else None,
     }

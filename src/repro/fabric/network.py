@@ -140,13 +140,6 @@ class Network:
         """The dynamic fault process installed on an endpoint's link."""
         return self._faults.get(endpoint)
 
-    @property
-    def has_faults(self) -> bool:
-        """True while any endpoint carries a dynamic fault process.
-        Fault processes make loss and path delay time-dependent, so the
-        batched descriptor fast path routes around them entirely."""
-        return bool(self._faults)
-
     def frame_lost(
         self, src: Hashable, dst: Hashable,
         now: float, rng: np.random.Generator,

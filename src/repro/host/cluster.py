@@ -19,7 +19,7 @@ from repro.verbs.cq import CompletionQueue
 from repro.verbs.enums import Opcode
 from repro.verbs.mr import MemoryRegion
 from repro.verbs.qp import QPCapabilities, QueuePair
-from repro.verbs.wr import SendWR, WorkCompletion, make_read_wr
+from repro.verbs.wr import SendWR, WorkCompletion
 
 
 class RDMAConnection:
@@ -101,40 +101,27 @@ class RDMAConnection:
         length: int = 64,
         signaled: bool = True,
         local_offset: int = 0,
-        signal_every: int = 1,
     ) -> list[SendWR]:
         """Post one RDMA Read per entry of ``offsets`` as a single
         doorbell-batched cohort (``ibv_post_send``'s linked-list form).
 
-        This is the batched-ingress twin of :meth:`post_read`: the QP
-        validates the whole list up front and hands it to the engine's
-        ``post_send_batch``, where eligible cohorts take the vectorized
-        descriptor fast path.  Returns the posted WQEs in order.
-
-        ``signal_every=k`` requests a CQE on every k-th WQE plus the
-        final one — the selective-signaling recipe message-rate
-        benchmarks use (``ibv_send_wr.send_flags`` without
-        ``IBV_SEND_SIGNALED``).  ``signaled=False`` suppresses CQEs
-        entirely and ignores ``signal_every``.
+        The batched form of :meth:`post_read`: the QP validates the
+        whole list up front and hands it to the engine's
+        ``post_send_batch``, which rings one doorbell for the cohort.
+        Returns the posted WQEs in order.
         """
-        if signal_every < 1:
-            raise ValueError(
-                f"signal_every must be positive, got {signal_every}")
-        local_addr = self.local_mr.addr + local_offset
-        rkey = remote_mr.rkey
-        base = remote_mr.addr
-        wr_id = self._wr_ids
-        last = len(offsets) - 1
         wrs = [
-            make_read_wr(
-                local_addr, length, base + offset, rkey,
-                wr_id + 1 + index,
-                signaled=signaled and (
-                    index % signal_every == 0 or index == last),
+            SendWR(
+                opcode=Opcode.RDMA_READ,
+                local_addr=self.local_mr.addr + local_offset,
+                length=length,
+                remote_addr=remote_mr.addr + offset,
+                rkey=remote_mr.rkey,
+                wr_id=self._next_wr_id(),
+                signaled=signaled,
             )
-            for index, offset in enumerate(offsets)
+            for offset in offsets
         ]
-        self._wr_ids = wr_id + len(wrs)
         self.qp.post_send_batch(wrs)
         return wrs
 

@@ -83,9 +83,10 @@ class HostMemory:
         """:meth:`read` minus the bounds check.
 
         For callers that have already proven ``[addr, +length)`` lies
-        inside this memory (the batched descriptor fast path validates
-        a whole cohort up front against its MRs, which were carved from
-        this memory by :meth:`alloc`).  Passing an unproven address is
+        inside this memory
+        (:func:`repro.verbs.engine.execute_data_movement` validates the
+        remote MR, which was carved from this memory by :meth:`alloc`,
+        and checks the local buffer).  Passing an unproven address is
         undefined: a negative offset would wrap Python slice semantics.
         """
         off = addr - self.base

@@ -405,13 +405,13 @@ class UnorderedReductionRule(FlowRule):
 
 class LoopStreamDrawRule(FlowRule):
     """A named ``stream()`` constructed once per element inside a loop
-    or comprehension.  Descriptor-array stage code (the batched fast
-    path, the TPU admission sweep) must pre-draw its randomness into a
-    buffer from ONE named stream before the sweep: a per-element
-    ``stream()`` re-derives the SHA-256 key per descriptor (quadratic
-    in cohort size), and, worse, makes the draw sequence depend on the
-    sweep's iteration shape — splitting one cohort into two then
-    consumes different streams, so scalar and batched replays diverge.
+    or comprehension.  Vectorized sweep code must pre-draw its
+    randomness into a buffer from ONE named stream before the sweep: a
+    per-element ``stream()`` re-derives the SHA-256 key per element
+    (quadratic in sweep size), and, worse, makes the draw sequence
+    depend on the sweep's iteration shape — splitting one sweep into
+    two then consumes different streams, so scalar and batched replays
+    diverge.
     """
 
     rule_id = "RAG106"

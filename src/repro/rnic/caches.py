@@ -39,8 +39,7 @@ class SetAssocCache:
         """Touch ``key``; returns True on hit.  Misses insert the key,
         evicting the set's LRU entry if the set is full."""
         # _set_for inlined: access() runs twice per translation admit
-        # (MPT + MTT), which makes it the hottest cache entry point on
-        # the batched descriptor path.
+        # (MPT + MTT), which makes it the hottest cache entry point.
         target = self._sets[hash(key) % self.sets]
         if key in target:
             target.move_to_end(key)

@@ -69,25 +69,6 @@ class NICCounters:
         self.rx.record(nbytes)
         self.rx_per_tc[self._check_tc(tc)].record(nbytes)
 
-    def record_tx_bulk(self, nbytes: int, count: int, tc: int = 0,
-                       opcodes=()) -> None:
-        """Fold ``count`` same-TC transmissions into the totals at once.
-
-        Counters are integers, so the aggregate is exactly what
-        ``count`` scalar :meth:`record_tx` calls would produce;
-        ``opcodes`` must be iterated in admission order so the
-        ``per_opcode`` dict's insertion order (visible in
-        :meth:`snapshot`) matches the scalar path."""
-        self.tx.record(nbytes, count)
-        self.tx_per_tc[self._check_tc(tc)].record(nbytes, count)
-        for opcode in opcodes:
-            self.per_opcode[opcode] += 1
-
-    def record_rx_bulk(self, nbytes: int, count: int, tc: int = 0) -> None:
-        """Bulk twin of :meth:`record_rx` (exact for integer totals)."""
-        self.rx.record(nbytes, count)
-        self.rx_per_tc[self._check_tc(tc)].record(nbytes, count)
-
     def snapshot(self) -> dict:
         """A flat dict of totals, shaped like ``ethtool -S`` output."""
         snap = {

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.fabric.network import Link, Network
 from repro.obs import runtime as _obs
 from repro.rnic.bandwidth import BandwidthAllocator, FluidFlow
-from repro.rnic.batch import try_fast_path
 from repro.rnic.counters import NICCounters
 from repro.rnic.spec import RNICSpec, cx5
 from repro.rnic.station import ServiceStation
@@ -115,16 +114,7 @@ class RNIC(Engine):
 
     def post_send_batch(self, qp: "QueuePair", wrs: list[SendWR]) -> None:
         """Doorbell batching: one MMIO doorbell launches the whole WQE
-        list.
-
-        Cohorts the planner can prove safe (quiescent simulator, RC
-        one-sided WQEs, lossless fault-free path, all prechecked
-        ``SUCCESS``) are advanced through the pipeline as vectorized
-        descriptor-array sweeps — see :mod:`repro.rnic.batch` — with
-        bit-identical results.  Everything else falls back to the
-        per-message closure pipeline below."""
-        if try_fast_path(self, qp, wrs):
-            return
+        list; every WQE then runs the per-message pipeline below."""
         for index, wr in enumerate(wrs):
             self.post_send(qp, wr, _ring_doorbell=(index == 0))
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 import zlib
 from typing import Hashable, Optional
 
@@ -39,31 +38,6 @@ import numpy as np
 
 from repro.rnic.caches import SetAssocCache
 from repro.rnic.spec import RNICSpec
-
-#: Cohorts below this take the scalar ``admit`` loop: the NumPy prepass
-#: in :meth:`TranslationUnit.admit_batch` does not amortize.
-VECTOR_MIN = 16
-
-
-def _select_tpu_batch():
-    """The C serial-tail drain, mirroring the kernel's engine choice.
-
-    ``REPRO_SIM_ENGINE=python`` forces the pure-Python loop (the same
-    switch that selects the pure-Python event core), and a missing or
-    numpy-less ``_speedups`` build falls back silently.  The two
-    implementations are bit-identical — the C tail draws jitter through
-    the very ziggurat routines the ``Generator`` methods dispatch to.
-    """
-    if os.environ.get("REPRO_SIM_ENGINE", "").lower() != "python":
-        try:
-            from repro.sim._speedups import tpu_admit_batch
-            return tpu_admit_batch
-        except ImportError:
-            pass
-    return None
-
-
-_C_TPU_TAIL = _select_tpu_batch()
 
 
 def mr_cache_id(mr_key: Hashable) -> int:
@@ -363,227 +337,6 @@ class TranslationUnit:
                 jitter=jitter,
             )
         return finish, None
-
-    def admit_batch(
-        self,
-        arrivals,
-        mr_key: Hashable,
-        offsets,
-        sizes,
-    ):
-        """Process one descriptor cohort (same MR, admission order).
-
-        Returns the per-request finish times (a float64 array on the
-        vectorized path, a list from the small-cohort loop) —
-        bit-identical to ``[admit(t, mr_key, o, s)[0] for ...]`` but
-        split into a vectorized prepass and a minimal sequential tail.
-        The split works because, within a single-MR cohort, most of
-        :meth:`admit` is a pure function of the offset vector:
-
-        * alignment, wave, and segment geometry vectorize directly
-          (``np.cos`` and ``math.cos`` both evaluate libm's double
-          ``cos``, so the wave term is bit-equal elementwise);
-        * the history penalties (MR switch, segment switch, same-line
-          lock) compare consecutive elements — a shifted comparison;
-        * the MPT lookup repeats one key, so only the first access can
-          change cache state: the rest are guaranteed MRU hits whose
-          ``move_to_end`` is a no-op, folded into the hit counter;
-        * the MTT walk depends only on the segment sequence, not on
-          timing or randomness, so it replays up front in a tight loop
-          (consecutive duplicate keys are MRU-hit no-ops too).
-
-        Only the genuinely serial parts stay in the per-request tail:
-        the interleaved jitter draws (``normal``/``random``/
-        ``exponential`` from one stream), the pipeline-busy recurrence,
-        and the bank occupancy array.  When the C extension exports
-        ``tpu_admit_batch`` (and ``REPRO_SIM_ENGINE`` does not force
-        Python), that tail runs in C without re-entering Python per
-        descriptor; the loop below is its bit-identical fallback.
-        ``arrivals`` must already be in admission (event) order.
-        """
-        n = len(arrivals)
-        if n < VECTOR_MIN:
-            # small cohorts: the NumPy prepass does not amortize
-            if type(mr_key) is int:
-                mr_id: Hashable = mr_key
-            else:
-                mr_ids = self._mr_ids
-                mr_id = mr_ids.get(mr_key)
-                if mr_id is None:
-                    mr_id = mr_ids[mr_key] = mr_cache_id(mr_key)
-            admit = self.admit
-            return [
-                admit(now, mr_id, offset, size)[0]
-                for now, offset, size in zip(arrivals, offsets, sizes)
-            ]
-        if type(mr_key) is int:
-            mr_id = mr_key
-        else:
-            mr_ids = self._mr_ids
-            mr_id = mr_ids.get(mr_key)
-            if mr_id is None:
-                mr_id = mr_ids[mr_key] = mr_cache_id(mr_key)
-        stats = self.stats
-        stats.requests += n
-        line_bytes = self._line_bytes
-        seg_bytes = self._seg_bytes
-        nbanks = self._nbanks
-
-        off = np.asarray(offsets, dtype=np.int64)
-        sz = np.asarray(sizes, dtype=np.int64)
-        first_line = off // line_bytes
-        last_line = np.where(sz > 1, (off + sz - 1) // line_bytes, first_line)
-        segment = off // seg_bytes
-
-        # alignment penalties (mutually exclusive, like the scalar
-        # if/elif) and their stats counts
-        sub8 = (off % 8) != 0
-        sub64 = ~sub8 & ((off % line_bytes) != 0)
-        stats.unaligned8 += int(np.count_nonzero(sub8))
-        stats.unaligned64 += int(np.count_nonzero(sub64))
-
-        # deterministic service components, accumulated left-to-right
-        # in the scalar path's exact order: base + alignment + segment
-        # + wave + mr_switch + line_lock + cache_miss (jitter joins in
-        # the loop below); elementwise adds in the same order are the
-        # same IEEE-754 operations
-        det = self._base_ns + np.where(
-            sub8, self._sub8_ns, np.where(sub64, self._sub64_ns, 0.0)
-        )
-
-        seg_switch = np.empty(n, dtype=bool)
-        seg_switch[0] = self._last_seg_mr is not None and (
-            mr_id != self._last_seg_mr or int(segment[0]) != self._last_seg_idx
-        )
-        np.not_equal(segment[1:], segment[:-1], out=seg_switch[1:])
-        stats.segment_misses += int(np.count_nonzero(seg_switch))
-        det = det + np.where(seg_switch, self._seg_miss_ns, 0.0)
-
-        pos = (off % seg_bytes) / seg_bytes
-        det = det + self._wave_half * (1.0 - np.cos(self._two_pi * pos))
-
-        mr_switch = np.zeros(n, dtype=np.float64)
-        if self._last_mr is not None and mr_id != self._last_mr:
-            mr_switch[0] = self._mr_switch_ns
-            stats.mr_switches += 1
-        self._last_mr = mr_id
-        det = det + mr_switch
-
-        line_lock = np.empty(n, dtype=bool)
-        line_lock[0] = (
-            mr_id == self._last_line_mr
-            and int(first_line[0]) == self._last_line_idx
-        )
-        np.equal(first_line[1:], first_line[:-1], out=line_lock[1:])
-        det = det + np.where(line_lock, self._line_lock_ns, 0.0)
-
-        # MPT: one key for the whole cohort — the first access is real,
-        # the rest are MRU hits with no LRU motion
-        mpt_cache = self.mpt_cache
-        cache_miss = np.zeros(n, dtype=np.float64)
-        if not mpt_cache.access(mr_id):
-            cache_miss[0] += self._mpt_miss_ns
-        mpt_cache.hits += n - 1
-
-        # MTT: the access sequence depends only on the segments, so it
-        # replays up front; consecutive duplicates are MRU no-ops
-        mtt_cache = self.mtt_cache
-        mtt_access = mtt_cache.access
-        seg_list = segment.tolist()
-        mtt_miss_ns = self._mtt_miss_ns
-        prev_seg: Optional[int] = None
-        dup_hits = 0
-        for i, seg in enumerate(seg_list):
-            if seg == prev_seg:
-                dup_hits += 1
-            elif not mtt_access((mr_id, seg)):
-                cache_miss[i] += mtt_miss_ns
-            prev_seg = seg
-        mtt_cache.hits += dup_hits
-        det = det + cache_miss
-
-        self._last_seg_mr = mr_id
-        self._last_seg_idx = int(segment[-1])
-        self._last_line_mr = mr_id
-        self._last_line_idx = int(first_line[-1])
-
-        if _C_TPU_TAIL is not None:
-            arr_in = np.ascontiguousarray(arrivals, dtype=np.float64)
-            finishes_out = np.empty(n, dtype=np.float64)
-            pipe, bank_wait, busy = _C_TPU_TAIL(
-                self.rng.bit_generator.capsule, arr_in, det,
-                first_line, last_line, finishes_out, self._bank_busy,
-                self._nbanks, self._pipe_busy, self._jitter_sigma,
-                self._jitter_floor, self._spike_prob, self._spike_ns,
-                self._bank_hold_ns, stats.bank_wait_ns, stats.busy_ns,
-            )
-            self._pipe_busy = pipe
-            stats.bank_wait_ns = bank_wait
-            stats.busy_ns = busy
-            return finishes_out
-
-        # sequential remainder: interleaved jitter draws, the pipeline
-        # recurrence, and bank occupancy.  Arrivals may be a float64
-        # array (the batched planner passes one); plain floats keep the
-        # accumulators and bank horizons free of numpy scalar types.
-        if isinstance(arrivals, np.ndarray):
-            arrivals = arrivals.tolist()
-        rng = self.rng
-        normal = rng.normal
-        random = rng.random
-        exponential = rng.exponential
-        sigma = self._jitter_sigma
-        floor = self._jitter_floor
-        spike_prob = self._spike_prob
-        spike_ns = self._spike_ns
-        hold = self._bank_hold_ns
-        bank_busy = self._bank_busy
-        pipe_busy = self._pipe_busy
-        bank_wait_acc = stats.bank_wait_ns
-        busy_acc = stats.busy_ns
-        det_list = det.tolist()
-        first_l = first_line.tolist()
-        last_l = last_line.tolist()
-        finishes = []
-        append = finishes.append
-        for i, arrival in enumerate(arrivals):
-            fl = first_l[i]
-            ll = last_l[i]
-            if fl == ll:
-                first_bank = fl % nbanks
-                banks = None
-                bank_ready = bank_busy[first_bank]
-            else:
-                banks = [line % nbanks for line in range(fl, ll + 1)]
-                first_bank = banks[0]
-                bank_ready = max(bank_busy[b] for b in banks)
-            issue_ready = arrival if arrival > pipe_busy else pipe_busy
-            start = bank_ready if bank_ready > issue_ready else issue_ready
-            bank_wait_acc += start - issue_ready
-
-            jitter = float(normal(0.0, sigma))
-            if random() < spike_prob:
-                jitter += float(exponential(spike_ns))
-            if jitter < floor:
-                jitter = floor
-
-            service = det_list[i] + jitter
-            finish = start + service
-            busy_acc += service
-            pipe_busy = finish
-            busy_until = finish + hold
-            if banks is None:
-                if bank_busy[first_bank] < busy_until:
-                    bank_busy[first_bank] = busy_until
-            else:
-                for bank in banks:
-                    if bank_busy[bank] < busy_until:
-                        bank_busy[bank] = busy_until
-            append(finish)
-        self._pipe_busy = pipe_busy
-        stats.bank_wait_ns = bank_wait_acc
-        stats.busy_ns = busy_acc
-        return finishes
 
     def reset_history(self) -> None:
         """Clear history registers and bank occupancy (not the caches)."""

@@ -23,20 +23,6 @@
 #include <Python.h>
 #include <structmember.h>
 
-#include <stdint.h>
-#include <string.h>
-
-/* tools/build_speedups.sh defines REPRO_HAVE_NPYRANDOM when NumPy's
- * C random API (distributions.h + libnpyrandom.a) is available; the
- * TPU cohort-drain entry point below draws jitter through the same
- * ziggurat implementations Generator.normal()/random()/exponential()
- * call, so the draws — and the generator state they leave behind —
- * are bit-identical to the pure-Python loop. */
-#ifdef REPRO_HAVE_NPYRANDOM
-#include <numpy/random/bitgen.h>
-#include <numpy/random/distributions.h>
-#endif
-
 /* priority * PRI_SHIFT + seq */
 #define PRI_SHIFT (1LL << 52)
 #define PRI_LIMIT (1LL << 30)
@@ -687,387 +673,11 @@ static PyTypeObject EventCoreType = {
     .tp_new = PyType_GenericNew,
 };
 
-/* ------------------------------------------------------------------ */
-/* batch_advance: drain one descriptor cohort through a FIFO station   */
-/* ------------------------------------------------------------------ */
-
-/* A stage operand that is either a scalar double (broadcast) or a
- * contiguous float64 buffer of per-descriptor values. */
-typedef struct {
-    Py_buffer view;
-    const double *data;     /* NULL when scalar */
-    double scalar;
-    int has_view;
-} StageVec;
-
-static int
-stagevec_init(StageVec *vec, PyObject *obj, const char *name)
-{
-    vec->data = NULL;
-    vec->has_view = 0;
-    if (PyFloat_Check(obj) || PyLong_Check(obj)) {
-        vec->scalar = PyFloat_AsDouble(obj);
-        if (vec->scalar == -1.0 && PyErr_Occurred())
-            return -1;
-        return 0;
-    }
-    if (PyObject_GetBuffer(obj, &vec->view, PyBUF_CONTIG_RO) < 0)
-        return -1;
-    vec->has_view = 1;
-    if (vec->view.itemsize != (Py_ssize_t)sizeof(double) ||
-            (vec->view.format != NULL &&
-             strcmp(vec->view.format, "d") != 0)) {
-        PyErr_Format(PyExc_TypeError,
-                     "%s must be a contiguous float64 buffer", name);
-        return -1;
-    }
-    vec->data = (const double *)vec->view.buf;
-    return 0;
-}
-
-static void
-stagevec_release(StageVec *vec)
-{
-    if (vec->has_view)
-        PyBuffer_Release(&vec->view);
-}
-
-/* batch_advance(arrivals, service, extra, order,
- *               busy_until, inflation, busy_ns, wait_ns)
- *     -> (busy_until', busy_ns', wait_ns')
- *
- * Advances one cohort of message descriptors through a single-server
- * FIFO station, replaying ServiceStation.admit()'s exact recurrence
- * (same IEEE-754 operation order, so results are bit-identical to the
- * scalar path):
- *
- *     start     = arrival if arrival > busy else busy
- *     effective = service * inflation
- *     finish    = start + effective
- *     busy      = finish
- *     busy_ns  += effective;  wait_ns += start - arrival
- *     arrival   = finish + extra        (downstream arrival, in place)
- *
- * `arrivals` is a writable contiguous float64 buffer updated in place
- * with each descriptor's downstream arrival time.  `service` and
- * `extra` are each either a float (broadcast) or a float64 buffer.
- * `order` is an int64 buffer giving the FIFO admission order (None for
- * index order).  The station's mutated scalars come back as a tuple so
- * the Python control plane can commit or discard them.
- */
-static PyObject *
-speedups_batch_advance(PyObject *module, PyObject *const *args,
-                       Py_ssize_t nargs)
-{
-    Py_buffer arr_view, order_view;
-    StageVec service, extra;
-    double busy, inflation, busy_ns, wait_ns;
-    double *arr;
-    const int64_t *order = NULL;
-    Py_ssize_t n, k;
-    PyObject *result = NULL;
-    int have_arr = 0, have_order = 0, have_service = 0, have_extra = 0;
-
-    (void)module;
-    if (nargs != 8) {
-        PyErr_SetString(PyExc_TypeError,
-                        "batch_advance expects exactly 8 arguments");
-        return NULL;
-    }
-    busy = PyFloat_AsDouble(args[4]);
-    inflation = PyFloat_AsDouble(args[5]);
-    busy_ns = PyFloat_AsDouble(args[6]);
-    wait_ns = PyFloat_AsDouble(args[7]);
-    if (PyErr_Occurred())
-        return NULL;
-
-    if (PyObject_GetBuffer(args[0], &arr_view, PyBUF_CONTIG) < 0)
-        return NULL;
-    have_arr = 1;
-    if (arr_view.itemsize != (Py_ssize_t)sizeof(double) ||
-            (arr_view.format != NULL &&
-             strcmp(arr_view.format, "d") != 0)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "arrivals must be a writable float64 buffer");
-        goto done;
-    }
-    arr = (double *)arr_view.buf;
-    n = arr_view.len / (Py_ssize_t)sizeof(double);
-
-    if (stagevec_init(&service, args[1], "service") < 0)
-        goto done;
-    have_service = 1;
-    if (stagevec_init(&extra, args[2], "extra") < 0)
-        goto done;
-    have_extra = 1;
-    if ((service.data != NULL &&
-         service.view.len != arr_view.len) ||
-        (extra.data != NULL && extra.view.len != arr_view.len)) {
-        PyErr_SetString(PyExc_ValueError,
-                        "service/extra length mismatch with arrivals");
-        goto done;
-    }
-
-    if (args[3] != Py_None) {
-        if (PyObject_GetBuffer(args[3], &order_view, PyBUF_CONTIG_RO) < 0)
-            goto done;
-        have_order = 1;
-        if (order_view.itemsize != (Py_ssize_t)sizeof(int64_t) ||
-                (order_view.format != NULL &&
-                 strcmp(order_view.format, "l") != 0 &&
-                 strcmp(order_view.format, "q") != 0)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "order must be a contiguous int64 buffer");
-            goto done;
-        }
-        if (order_view.len / (Py_ssize_t)sizeof(int64_t) != n) {
-            PyErr_SetString(PyExc_ValueError,
-                            "order length mismatch with arrivals");
-            goto done;
-        }
-        order = (const int64_t *)order_view.buf;
-    }
-
-    for (k = 0; k < n; k++) {
-        Py_ssize_t i = order != NULL ? (Py_ssize_t)order[k] : k;
-        double arrival, svc, ext, start, effective, finish;
-
-        if (i < 0 || i >= n) {
-            PyErr_SetString(PyExc_IndexError,
-                            "order index out of range");
-            goto done;
-        }
-        arrival = arr[i];
-        svc = service.data != NULL ? service.data[i] : service.scalar;
-        ext = extra.data != NULL ? extra.data[i] : extra.scalar;
-        start = arrival > busy ? arrival : busy;
-        effective = svc * inflation;
-        finish = start + effective;
-        busy = finish;
-        busy_ns += effective;
-        wait_ns += start - arrival;
-        arr[i] = finish + ext;
-    }
-
-    result = Py_BuildValue("(ddd)", busy, busy_ns, wait_ns);
-
-done:
-    if (have_order)
-        PyBuffer_Release(&order_view);
-    if (have_extra)
-        stagevec_release(&extra);
-    if (have_service)
-        stagevec_release(&service);
-    if (have_arr)
-        PyBuffer_Release(&arr_view);
-    return result;
-}
-
-#ifdef REPRO_HAVE_NPYRANDOM
-/* ------------------------------------------------------------------ */
-/* tpu_admit_batch: the TranslationUnit's sequential remainder         */
-/* ------------------------------------------------------------------ */
-
-/* tpu_admit_batch(capsule, arrivals, det, first_line, last_line,
- *                 finishes, bank_busy, nbanks, pipe_busy,
- *                 sigma, floor, spike_prob, spike_ns, hold,
- *                 bank_wait_acc, busy_acc)
- *     -> (pipe_busy', bank_wait_acc', busy_acc')
- *
- * The genuinely serial tail of TranslationUnit.admit_batch(): per
- * descriptor, in admission order — interleaved jitter draws (normal,
- * uniform, conditional exponential: the same npyrandom ziggurat code
- * Generator methods dispatch to), the single-issue pipeline
- * recurrence, and the bank-occupancy array.  Replays the Python
- * loop's exact IEEE-754 operation order, so finish times, stats
- * accumulators, bank horizons and the RNG stream state all come out
- * bit-identical.
- *
- * `capsule` is rng.bit_generator.capsule (a bitgen_t).  `arrivals`
- * and `det` are contiguous float64 buffers; `first_line`/`last_line`
- * contiguous int64; `finishes` a writable float64 output buffer.
- * `bank_busy` is the unit's Python list of bank horizons, rewritten
- * in place before returning.
- */
-static PyObject *
-speedups_tpu_admit_batch(PyObject *module, PyObject *const *args,
-                         Py_ssize_t nargs)
-{
-    bitgen_t *bitgen;
-    Py_buffer arr_view, det_view, fl_view, ll_view, fin_view;
-    PyObject *bank_list, *result = NULL;
-    double *bank = NULL, *fin;
-    const double *arr, *det;
-    const int64_t *fl, *ll;
-    double pipe_busy, sigma, floor_v, spike_prob, spike_ns, hold;
-    double bank_wait_acc, busy_acc;
-    Py_ssize_t n, nbanks, i, b;
-    int have_arr = 0, have_det = 0, have_fl = 0, have_ll = 0, have_fin = 0;
-
-    (void)module;
-    if (nargs != 16) {
-        PyErr_SetString(PyExc_TypeError,
-                        "tpu_admit_batch expects exactly 16 arguments");
-        return NULL;
-    }
-    bitgen = (bitgen_t *)PyCapsule_GetPointer(args[0], "BitGenerator");
-    if (bitgen == NULL)
-        return NULL;
-    bank_list = args[6];
-    if (!PyList_Check(bank_list)) {
-        PyErr_SetString(PyExc_TypeError, "bank_busy must be a list");
-        return NULL;
-    }
-    nbanks = PyLong_AsSsize_t(args[7]);
-    pipe_busy = PyFloat_AsDouble(args[8]);
-    sigma = PyFloat_AsDouble(args[9]);
-    floor_v = PyFloat_AsDouble(args[10]);
-    spike_prob = PyFloat_AsDouble(args[11]);
-    spike_ns = PyFloat_AsDouble(args[12]);
-    hold = PyFloat_AsDouble(args[13]);
-    bank_wait_acc = PyFloat_AsDouble(args[14]);
-    busy_acc = PyFloat_AsDouble(args[15]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (nbanks <= 0 || PyList_GET_SIZE(bank_list) != nbanks) {
-        PyErr_SetString(PyExc_ValueError,
-                        "bank_busy length disagrees with nbanks");
-        return NULL;
-    }
-
-    if (PyObject_GetBuffer(args[1], &arr_view, PyBUF_CONTIG_RO) < 0)
-        goto done;
-    have_arr = 1;
-    if (PyObject_GetBuffer(args[2], &det_view, PyBUF_CONTIG_RO) < 0)
-        goto done;
-    have_det = 1;
-    if (PyObject_GetBuffer(args[3], &fl_view, PyBUF_CONTIG_RO) < 0)
-        goto done;
-    have_fl = 1;
-    if (PyObject_GetBuffer(args[4], &ll_view, PyBUF_CONTIG_RO) < 0)
-        goto done;
-    have_ll = 1;
-    if (PyObject_GetBuffer(args[5], &fin_view, PyBUF_CONTIG) < 0)
-        goto done;
-    have_fin = 1;
-    n = arr_view.len / (Py_ssize_t)sizeof(double);
-    if (arr_view.itemsize != (Py_ssize_t)sizeof(double) ||
-            det_view.len != arr_view.len ||
-            fin_view.len != arr_view.len ||
-            fl_view.len != (Py_ssize_t)(n * sizeof(int64_t)) ||
-            ll_view.len != fl_view.len) {
-        PyErr_SetString(PyExc_ValueError,
-                        "tpu_admit_batch buffer length mismatch");
-        goto done;
-    }
-    arr = (const double *)arr_view.buf;
-    det = (const double *)det_view.buf;
-    fl = (const int64_t *)fl_view.buf;
-    ll = (const int64_t *)ll_view.buf;
-    fin = (double *)fin_view.buf;
-
-    bank = PyMem_Malloc(nbanks * sizeof(double));
-    if (bank == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (b = 0; b < nbanks; b++) {
-        bank[b] = PyFloat_AsDouble(PyList_GET_ITEM(bank_list, b));
-        if (bank[b] == -1.0 && PyErr_Occurred())
-            goto done;
-    }
-
-    for (i = 0; i < n; i++) {
-        int64_t first = fl[i], last = ll[i], line;
-        double bank_ready, issue_ready, start, jitter, service;
-        double finish, busy_until;
-
-        if (first < 0 || last < first) {
-            PyErr_SetString(PyExc_ValueError,
-                            "tpu_admit_batch: bad line range");
-            goto done;
-        }
-        bank_ready = bank[first % nbanks];
-        for (line = first + 1; line <= last; line++) {
-            double horizon = bank[line % nbanks];
-            if (horizon > bank_ready)
-                bank_ready = horizon;
-        }
-        issue_ready = arr[i] > pipe_busy ? arr[i] : pipe_busy;
-        start = bank_ready > issue_ready ? bank_ready : issue_ready;
-        bank_wait_acc += start - issue_ready;
-
-        jitter = random_normal(bitgen, 0.0, sigma);
-        if (random_standard_uniform(bitgen) < spike_prob)
-            jitter += random_exponential(bitgen, spike_ns);
-        if (jitter < floor_v)
-            jitter = floor_v;
-
-        service = det[i] + jitter;
-        finish = start + service;
-        busy_acc += service;
-        pipe_busy = finish;
-        busy_until = finish + hold;
-        for (line = first; line <= last; line++) {
-            if (bank[line % nbanks] < busy_until)
-                bank[line % nbanks] = busy_until;
-        }
-        fin[i] = finish;
-    }
-
-    for (b = 0; b < nbanks; b++) {
-        PyObject *horizon = PyFloat_FromDouble(bank[b]);
-        if (horizon == NULL)
-            goto done;
-        PyList_SetItem(bank_list, b, horizon);  /* steals the ref */
-    }
-    result = Py_BuildValue("(ddd)", pipe_busy, bank_wait_acc, busy_acc);
-
-done:
-    PyMem_Free(bank);
-    if (have_fin)
-        PyBuffer_Release(&fin_view);
-    if (have_ll)
-        PyBuffer_Release(&ll_view);
-    if (have_fl)
-        PyBuffer_Release(&fl_view);
-    if (have_det)
-        PyBuffer_Release(&det_view);
-    if (have_arr)
-        PyBuffer_Release(&arr_view);
-    return result;
-}
-#endif  /* REPRO_HAVE_NPYRANDOM */
-
-static PyMethodDef speedups_functions[] = {
-    {"batch_advance",
-     (PyCFunction)(void (*)(void))speedups_batch_advance, METH_FASTCALL,
-     "batch_advance(arrivals, service, extra, order, busy_until, "
-     "inflation, busy_ns, wait_ns) -> (busy_until, busy_ns, wait_ns)\n"
-     "Drain one descriptor cohort through a FIFO station without "
-     "re-entering Python per message; arrivals is updated in place "
-     "with downstream arrival times."},
-#ifdef REPRO_HAVE_NPYRANDOM
-    {"tpu_admit_batch",
-     (PyCFunction)(void (*)(void))speedups_tpu_admit_batch, METH_FASTCALL,
-     "tpu_admit_batch(capsule, arrivals, det, first_line, last_line, "
-     "finishes, bank_busy, nbanks, pipe_busy, sigma, floor, spike_prob, "
-     "spike_ns, hold, bank_wait_acc, busy_acc) "
-     "-> (pipe_busy, bank_wait_acc, busy_acc)\n"
-     "Serial tail of TranslationUnit.admit_batch: jitter draws "
-     "(bit-identical to Generator.normal/random/exponential), pipeline "
-     "recurrence and bank occupancy, without re-entering Python per "
-     "descriptor."},
-#endif
-    {NULL, NULL, 0, NULL},
-};
-
 static struct PyModuleDef speedups_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._speedups",
     .m_doc = "C accelerator for the repro.sim event kernel.",
     .m_size = -1,
-    .m_methods = speedups_functions,
 };
 
 PyMODINIT_FUNC

@@ -25,11 +25,10 @@ from typing import Any, Optional
 
 from repro.obs import runtime as _obs
 from repro.sim.errors import SimulationError
-from repro.sim.event import PyEventCore, py_batch_advance
+from repro.sim.event import PyEventCore
 from repro.sim.random import RandomStreams
 
-__all__ = ["Simulator", "SimulationError", "KERNEL_ENGINE",
-           "batch_advance_for"]
+__all__ = ["Simulator", "SimulationError", "KERNEL_ENGINE"]
 
 
 def _select_core() -> tuple[type, str]:
@@ -43,28 +42,6 @@ def _select_core() -> tuple[type, str]:
 
 
 _CORE, KERNEL_ENGINE = _select_core()
-
-try:  # the C function rides the same optional extension as EventCore
-    from repro.sim import _speedups as _speedups_mod
-    _C_BATCH_ADVANCE = getattr(_speedups_mod, "batch_advance", None)
-    _C_CORE: Optional[type] = _speedups_mod.EventCore
-except ImportError:
-    _C_BATCH_ADVANCE = None
-    _C_CORE = None
-
-
-def batch_advance_for(sim: Any):
-    """The cohort-drain primitive matching ``sim``'s engine core.
-
-    Returns ``_speedups.batch_advance`` when ``sim`` runs on the C
-    core (and the extension exports it), else the pure-Python twin
-    :func:`repro.sim.event.py_batch_advance`.  The two are
-    bit-identical; the choice only affects wall-clock speed, mirroring
-    the scalar ``schedule``/``run`` split."""
-    if _C_BATCH_ADVANCE is not None and _C_CORE is not None and \
-            isinstance(sim, _C_CORE):
-        return _C_BATCH_ADVANCE
-    return py_batch_advance
 
 
 #: Slots added by :class:`_SimulatorMixin` on top of an engine core.

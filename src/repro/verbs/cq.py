@@ -35,14 +35,6 @@ class CompletionQueue:
     def destroyed(self) -> bool:
         return self._destroyed
 
-    @property
-    def free_space(self) -> int:
-        """Entries that can be pushed before the CQ overflows.  The
-        batched ingress checks this up front: a cohort whose signaled
-        completions could overflow mid-drain falls back to the scalar
-        path so the overflow surfaces exactly where it would today."""
-        return self.capacity - len(self._entries)
-
     def push(self, wc: WorkCompletion) -> None:
         """Engine-side: deliver a completion."""
         if self._destroyed:

@@ -44,38 +44,14 @@ def resolve_remote_qp(qp: "QueuePair", wr: SendWR) -> "QueuePair":
     return qp.remote_qp
 
 
-def precheck_one_sided(qp: "QueuePair", wr: SendWR) -> WCStatus:
-    """The status :func:`execute_data_movement` *would* return for a
-    one-sided WQE, computed without side effects.
-
-    Reference twin of the fused eligibility check inside
-    ``repro.rnic.batch.try_fast_path`` (which memoizes the MR lookup
-    and access-flag tests across a cohort instead of re-deriving them
-    per WQE); the batch equivalence suite asserts the two agree.  Only
-    the remote MR validation (bounds + access flags) is modelled here —
-    local-buffer faults raise out of the data stage on both paths and
-    are prechecked separately.
-    """
-    remote_qp = resolve_remote_qp(qp, wr)
-    required = REQUIRED_REMOTE_ACCESS.get(wr.opcode, AccessFlags.NONE)
-    try:
-        mr = remote_qp.context.mr_by_rkey(wr.rkey)
-        mr.check_remote(wr.remote_addr, wr.length, required)
-    except RemoteAccessError:
-        return WCStatus.REM_ACCESS_ERR
-    return WCStatus.SUCCESS
-
-
 def move_one_sided(local_mem, remote_mem, wr: SendWR) -> None:
     """Byte movement of a *validated* one-sided WQE.
 
-    The semantic core shared by :func:`execute_data_movement` (which
-    validates first) and the batched descriptor fast path (which proves
-    a whole cohort's bounds and permissions up front, then calls this
-    per descriptor with no per-message re-validation).  Payload moves
-    use the memories' prechecked accessors; the 8-byte atomics keep the
-    checked u64 helpers (they are off the hot path and share the
-    little-endian packing in one place).
+    The semantic core of :func:`execute_data_movement`, which validates
+    the remote MR and the local buffer before calling this.  Payload
+    moves use the memories' prechecked accessors; the 8-byte atomics
+    keep the checked u64 helpers (they are off the hot path and share
+    the little-endian packing in one place).
     """
     opcode = wr.opcode
     if opcode is Opcode.RDMA_READ:

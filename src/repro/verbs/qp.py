@@ -208,62 +208,6 @@ class QueuePair:
         self.opcode_counts[wr.opcode] = self.opcode_counts.get(wr.opcode, 0) + 1
         self.size_counts[wr.length] = self.size_counts.get(wr.length, 0) + 1
 
-    def _validate_send_batch(self, wrs: list[SendWR]) -> None:
-        """:meth:`_validate_send` over a whole batch, with the per-QP
-        checks hoisted out of the loop and the per-opcode transport
-        checks memoized.
-
-        Raises the same exception the scalar per-WQE sweep would raise,
-        at the same WQE: the hoisted checks (destroyed, state) do not
-        depend on the WQE at all, and the loop preserves the scalar
-        check order for everything that does.
-        """
-        if self._destroyed:
-            raise ResourceError(f"QP {self.qp_num} destroyed")
-        if self.state is not QPState.RTS:
-            raise QPStateError(f"QP {self.qp_num} not RTS (is {self.state})")
-        if self.qp_type is QPType.UD:
-            for wr in wrs:
-                self._validate_send(wr)
-            return
-        disconnected = self.remote_qp is None
-        qp_type = self.qp_type
-        max_inline = self.cap.max_inline_data
-        checked_ops: dict[Opcode, bool] = {}
-        for wr in wrs:
-            if wr.lkey is not None:
-                mr = self.context.mr_by_lkey(wr.lkey)
-                if not mr.contains(wr.local_addr, wr.length):
-                    raise ResourceError(
-                        f"QP {self.qp_num}: SGE [{wr.local_addr:#x}, "
-                        f"+{wr.length}) outside lkey={wr.lkey} MR "
-                        f"[{mr.addr:#x}, {mr.end:#x})"
-                    )
-            if disconnected:
-                raise QPStateError(f"QP {self.qp_num} is not connected")
-            op = wr.opcode
-            needs_remote = checked_ops.get(op)
-            if needs_remote is None:
-                if op is Opcode.RDMA_READ and not qp_type.supports_rdma_read:
-                    raise QPStateError(
-                        f"{qp_type} does not support RDMA READ"
-                    )
-                if op.is_atomic and not qp_type.supports_atomics:
-                    raise QPStateError(f"{qp_type} does not support atomics")
-                needs_remote = checked_ops[op] = op.needs_remote_addr
-            if needs_remote and (wr.remote_addr is None or wr.rkey is None):
-                raise QPStateError(f"{op} requires remote_addr and rkey")
-            if wr.inline:
-                if not op.carries_request_payload:
-                    raise QPStateError(
-                        f"{op} cannot be posted inline (no request payload)"
-                    )
-                if wr.length > max_inline:
-                    raise QPStateError(
-                        f"inline length {wr.length} exceeds max_inline_data "
-                        f"{max_inline}"
-                    )
-
     def post_send_batch(self, wrs: list[SendWR]) -> None:
         """Post a WQE list with one doorbell (``ibv_post_send``'s
         linked-list form — Kalia et al.'s doorbell batching).
@@ -279,32 +223,18 @@ class QueuePair:
                 f"send-queue space ({self.send_queue_free})"
             )
         # Validate every WQE before posting any: a bad entry (QP state,
-        # lkey, inline rules) rejects the whole batch atomically, on
-        # the engine-batched and fallback paths alike.
-        self._validate_send_batch(wrs)
+        # lkey, inline rules) rejects the whole batch atomically.
+        for wr in wrs:
+            self._validate_send(wr)
         engine_batch = getattr(self.context.engine, "post_send_batch", None)
         if engine_batch is not None:
             # the engine amortizes the doorbell; it calls back into
-            # complete_send per WQE as usual.  Accounting is the batched
-            # unroll of _account: same totals, same per-opcode/per-size
-            # histograms, one pass.
-            out = self._outstanding_send
-            inflight = self._inflight_sends
-            opcode_counts = self.opcode_counts
-            size_counts = self.size_counts
-            bytes_here = 0
+            # complete_send per WQE as usual
             for wr in wrs:
-                wr.queue_ahead = out
-                out += 1
-                inflight[id(wr)] = wr
-                length = wr.length
-                op = wr.opcode
-                bytes_here += length
-                opcode_counts[op] = opcode_counts.get(op, 0) + 1
-                size_counts[length] = size_counts.get(length, 0) + 1
-            self._outstanding_send = out
-            self.total_posted += len(wrs)
-            self.bytes_posted += bytes_here
+                wr.queue_ahead = self._outstanding_send
+                self._outstanding_send += 1
+                self._inflight_sends[id(wr)] = wr
+                self._account(wr)
             engine_batch(self, wrs)
             return
         for wr in wrs:

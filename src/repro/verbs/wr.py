@@ -98,39 +98,6 @@ class SendWR:
         return self.length if self.opcode.response_carries_payload else 0
 
 
-def make_read_wr(
-    local_addr: int,
-    length: int,
-    remote_addr: int,
-    rkey: int,
-    wr_id: int,
-    signaled: bool = True,
-) -> "SendWR":
-    """Construct an RDMA-Read :class:`SendWR` without the dataclass
-    ``__init__``.
-
-    The batched ingress posts thousands of READ WQEs per cohort;
-    the generated dataclass constructor (16 fields plus
-    ``__post_init__``) is about a microsecond of pure Python per WQE —
-    a sixth of the whole fast-path budget.  This builder fills the same
-    fields directly (READ needs no inline/atomic/AH handling) and keeps
-    the one side effect that matters: consuming ``_wqe_sequencer``.
-    """
-    wr = SendWR.__new__(SendWR)
-    # replacing the instance __dict__ with a literal beats dict.update
-    # with 16 keyword pairs (one C-level dict display vs building and
-    # merging a kwargs dict)
-    wr.__dict__ = {
-        "opcode": Opcode.RDMA_READ, "local_addr": local_addr,
-        "length": length, "remote_addr": remote_addr, "rkey": rkey,
-        "wr_id": wr_id, "signaled": signaled, "inline": False, "ah": None,
-        "compare_add": 0, "swap": 0, "lkey": None,
-        "seq": next(_wqe_sequencer), "post_time": 0.0, "complete_time": 0.0,
-        "queue_ahead": 0, "flushed": False,
-    }
-    return wr
-
-
 def make_completion(
     wr_id: int,
     status: "WCStatus",

@@ -2,11 +2,12 @@
 
 The end-to-end observability contract: running an experiment with the
 obs flags writes schema-valid trace/metrics files next to the table,
-the Chrome trace is loadable, and a crashed attempt's partial trace
-never leaks into a retry's export.
+the Chrome trace is loadable, a crashed attempt's partial trace
+never leaks into a retry's export, and tracing never changes the table.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -158,3 +159,18 @@ def test_trace_sample_writes_fewer_dispatch_records(tmp_path):
     assert full_count // 100 - 10 <= sampled_count <= full_count // 100
     # both artifacts remain schema-valid
     assert validate_path(tmp_path / "sampled" / "table5.trace.jsonl") == []
+
+
+def test_tracing_does_not_change_the_table(tmp_path):
+    """Observing a run must not change what it computes: table5 at
+    ``--smoke`` with sampled tracing and metrics renders byte-identical
+    to the same run with obs off."""
+    plain = run_task("table5", 0, True, False, 0, str(tmp_path / "plain"))
+    traced = run_task("table5", 0, True, False, 0, str(tmp_path / "traced"),
+                      trace=True, metrics=True, trace_sample=100)
+    assert plain.ok and traced.ok
+    assert not plain.extras
+    assert (tmp_path / "traced" / "table5.metrics.json").exists()
+    assert traced.table == plain.table
+    assert (pathlib.Path(traced.path).read_bytes()
+            == pathlib.Path(plain.path).read_bytes())

@@ -2,18 +2,17 @@
 """Simulator throughput benchmarks with a machine-readable report and a
 regression gate.
 
-Times the five substrate hot paths (event-kernel dispatch, end-to-end
-message throughput, the million-message batched drain, translation-unit
-admission, snoop-trace synthesis) with min-of-N wall-clock loops,
-writes ``BENCH_simulator.json`` and compares against the committed
-baseline::
+Times the four substrate hot paths (event-kernel dispatch, end-to-end
+message throughput, translation-unit admission, snoop-trace synthesis)
+with min-of-N wall-clock loops, writes ``BENCH_simulator.json`` and
+compares against the committed baseline::
 
     python tools/bench_gate.py                    # bench + gate
     python tools/bench_gate.py --no-gate          # emit JSON only
     python tools/bench_gate.py --update-baseline  # refresh the baseline
 
 The gate FAILS when any bench in ``GATED_BENCHES`` (kernel dispatch,
-both end-to-end scenarios, translation admission) drops more than
+end-to-end messages, translation admission) drops more than
 ``--tolerance`` (default 20 %) below the baseline's ops/s; the rest
 are advisory (printed, never fatal).  The baseline records
 which kernel engine produced it — when the current engine differs
@@ -79,20 +78,16 @@ DEFAULT_OUT = REPO / "BENCH_simulator.json"
 GATED_BENCHES = frozenset({
     "kernel_dispatch",
     "end_to_end_messages",
-    "end_to_end_batched",
     "translation_admission",
 })
 
 #: Rates (ops/s) measured at the commit before the fast-path rework, on
 #: the machine that produced the committed baseline — the start of the
 #: bench trajectory.  Reports carry ``speedup_vs_pre_pr`` so the
-#: headline factors stay visible as the baseline moves.  The batched
-#: scenario did not exist pre-rework; it anchors to the same per-message
-#: rate the scalar pipelined loop produced (msgs/s either way).
+#: headline factors stay visible as the baseline moves.
 PRE_PR_OPS_PER_S = {
     "kernel_dispatch": 1_453_000,        # 10k events in 6.88 ms, pure Python
     "end_to_end_messages": 9_570,        # 2000 reads in 208.9 ms
-    "end_to_end_batched": 9_570,         # scalar pipelined msgs/s anchor
     "translation_admission": 146_200,    # 5000 admits in 34.2 ms
     "trace_synthesis_points": 14_700,    # one 257-point trace in 17.5 ms
 }
@@ -129,29 +124,23 @@ def bench_kernel_dispatch() -> tuple[int, float]:
     return events, _min_seconds(run, repeats=15)
 
 
-def _barrier_testbed(max_send_wr: int):
-    """Two-host CX-5 testbed for the barrier-shaped end-to-end benches."""
-    cluster = Cluster(seed=0)
-    server = cluster.add_host("server", spec=cx5())
-    client = cluster.add_host("client", spec=cx5())
-    conn = cluster.connect(client, server, max_send_wr=max_send_wr,
-                           cq_capacity=max_send_wr + 8)
-    mr = server.reg_mr(2 * 1024 * 1024)
-    return cluster, conn, mr
-
-
 def bench_end_to_end() -> tuple[int, float]:
     """End-to-end message throughput, barrier-batched ingress.
 
     Posts 256-deep doorbell cohorts of 64 B READs (every WQE signaled),
     runs the simulation to the drain barrier and polls the cohort's
-    CQEs in one call — the post/drain/repeat shape the descriptor fast
-    path plans for, and the linked-list ``ibv_post_send`` form real
-    message-rate benchmarks use.
+    CQEs in one call — the linked-list ``ibv_post_send`` form real
+    message-rate benchmarks use.  Every WQE runs the per-message RNIC
+    pipeline; the cohort shares one doorbell.
     """
     batch, rounds = 256, 80
     messages = batch * rounds
-    cluster, conn, mr = _barrier_testbed(batch)
+    cluster = Cluster(seed=0)
+    server = cluster.add_host("server", spec=cx5())
+    client = cluster.add_host("client", spec=cx5())
+    conn = cluster.connect(client, server, max_send_wr=batch,
+                           cq_capacity=batch + 8)
+    mr = server.reg_mr(2 * 1024 * 1024)
     offsets = [(i * 64) % (2 * 1024 * 1024 - 64) for i in range(batch)]
     sim = cluster.sim
     cq = conn.cq
@@ -163,42 +152,9 @@ def bench_end_to_end() -> tuple[int, float]:
             got = len(cq.poll(batch))
             assert got == batch
 
-    # gated bench: extra repeats so one noisy ~110 ms pass (frequency
-    # scaling, a neighbouring container) cannot flap the gate
+    # gated bench: extra repeats so one noisy pass (frequency scaling,
+    # a neighbouring container) cannot flap the gate
     return messages, _min_seconds(run, repeats=7)
-
-
-def bench_end_to_end_batched() -> tuple[int, float]:
-    """A million messages through the full pipeline, timed in one pass.
-
-    Same barrier shape as :func:`bench_end_to_end` plus selective
-    signaling (a CQE every 16th WQE, the standard message-rate recipe):
-    unsignaled completions ride the next signaled event, so the kernel
-    dispatches ~16x fewer events per cohort while every WQE still
-    retires at its scalar timestamp.  At 1M messages a single timed
-    pass (after a two-cohort warm-up) is stable enough; min-of-N would
-    double a multi-second bench for little variance reduction.
-    """
-    batch, rounds, sig = 256, 4000, 16
-    messages = batch * rounds
-    cluster, conn, mr = _barrier_testbed(batch)
-    offsets = [(i * 64) % (2 * 1024 * 1024 - 64) for i in range(batch)]
-    nsig = sum(1 for i in range(batch) if i % sig == 0 or i == batch - 1)
-    sim = cluster.sim
-    cq = conn.cq
-
-    def one_round():
-        conn.post_read_batch(mr, offsets, signal_every=sig)
-        sim.run()
-        got = len(cq.poll(nsig))
-        assert got == nsig
-
-    for _ in range(2):
-        one_round()
-    started = time.perf_counter()
-    for _ in range(rounds):
-        one_round()
-    return messages, time.perf_counter() - started
 
 
 def bench_translation_admission() -> tuple[int, float]:
@@ -229,7 +185,6 @@ def bench_trace_synthesis() -> tuple[int, float]:
 BENCHES = {
     "kernel_dispatch": bench_kernel_dispatch,
     "end_to_end_messages": bench_end_to_end,
-    "end_to_end_batched": bench_end_to_end_batched,
     "translation_admission": bench_translation_admission,
     "trace_synthesis_points": bench_trace_synthesis,
 }
