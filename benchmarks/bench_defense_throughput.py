@@ -12,13 +12,10 @@ and reports:
 * ``verdict_p50_us`` / ``verdict_p99_us`` — per-stream readout latency
   over a sampled cohort (an operator pulling one tenant's verdict out
   of a live bank);
-* ``bytes_per_stream`` — resident detector state per stream;
-* ``speedup_vs_scalar`` — the same workload through scalar
-  :class:`~repro.defense.OnlineCounterDefense` watches, on a subset
-  sized so the scalar side stays affordable.
+* ``bytes_per_stream`` — resident detector state per stream.
 
-The equivalence suite (``tests/defense/test_service_parity.py``)
-proves the two paths verdict-identical; this file prices them.
+The golden verdict suite (``tests/defense/test_service_parity.py``)
+pins what the banks decide; this file prices it.
 
 Run standalone for the machine-readable report used by
 ``tools/bench_gate.py``::
@@ -34,7 +31,6 @@ import time
 
 import numpy as np
 
-from repro.defense import CounterTrace, OnlineCounterDefense
 from repro.defense.service import DetectorBankService
 
 from benchmarks.conftest import quick_mode
@@ -46,14 +42,8 @@ QUICK_STREAMS = 20_000
 #: periodicity window (64) so the fleet phase prices the pure
 #: vectorized EWMA/CUSUM path; the ACF phase below prices the windowed
 #: periodicity scan separately at a density where its per-due-stream
-#: scalar scoring is affordable.
+#: Python scoring is affordable.
 FLEET_TICKS = 24
-#: Streams/length for the scalar-vs-batched comparison.  Wide enough
-#: that the batched side's fixed per-tick cost amortizes (the honest
-#: fleet-width ratio is higher still, but pricing the scalar side at
-#: 100K streams would cost seconds per run for no extra information).
-SCALAR_STREAMS = 2048
-SCALAR_TICKS = 96
 #: Streams/ticks for the periodicity (ACF-exercising) phase.
 ACF_STREAMS = 1_500
 ACF_TICKS = 64
@@ -151,50 +141,8 @@ def measure_acf_phase(streams: int, ticks: int) -> dict:
     }
 
 
-def measure_scalar_vs_batched(streams: int, ticks: int) -> dict:
-    """Same workload, both implementations, interleaved-fair enough:
-    the scalar side is the bottleneck by an order of magnitude, so one
-    pass each resolves the ratio."""
-    values = _fleet_values(streams, ticks, seed=11)
-    times = [1000.0 * (t + 1) for t in range(ticks)]
-    traces = [
-        CounterTrace(tenant=f"t{i}", key=f"t{i}",
-                     times_ns=tuple(times),
-                     values=tuple(float(v) for v in values[:, i]))
-        for i in range(streams)
-    ]
-
-    scalar = OnlineCounterDefense()
-    started = time.perf_counter()
-    scalar_verdicts = [scalar.watch(trace) for trace in traces]
-    scalar_s = time.perf_counter() - started
-
-    service = DetectorBankService(capacity=streams)
-    started = time.perf_counter()
-    slots = service.admit_many([trace.tenant for trace in traces])
-    for tick in range(ticks):
-        service.ingest_slots(slots, times[tick], values[tick])
-    batched_verdicts = service.verdicts()
-    batched_s = time.perf_counter() - started
-
-    assert len(batched_verdicts) == len(scalar_verdicts)
-    flagged = sum(v.flagged for v in scalar_verdicts)
-    assert flagged == sum(
-        v.flagged for v in batched_verdicts.values())
-    return {
-        "streams": streams,
-        "ticks": ticks,
-        "scalar_s": round(scalar_s, 4),
-        "batched_s": round(batched_s, 4),
-        "scalar_samples_per_s": round(streams * ticks / scalar_s, 1),
-        "batched_samples_per_s": round(streams * ticks / batched_s, 1),
-        "speedup_vs_scalar": round(scalar_s / batched_s, 2),
-        "flagged": flagged,
-    }
-
-
 def measure(streams=None) -> dict:
-    """The full gate-facing report (fleet + ACF + scalar comparison)."""
+    """The full gate-facing report (fleet + ACF)."""
     if streams is None:
         streams = QUICK_STREAMS if quick_mode() else FLEET_STREAMS
     return {
@@ -202,9 +150,6 @@ def measure(streams=None) -> dict:
         "periodicity": measure_acf_phase(
             ACF_STREAMS if not quick_mode() else ACF_STREAMS // 4,
             ACF_TICKS),
-        "comparison": measure_scalar_vs_batched(
-            SCALAR_STREAMS if not quick_mode() else SCALAR_STREAMS // 4,
-            SCALAR_TICKS),
     }
 
 
@@ -225,13 +170,6 @@ def test_service_sustains_fleet_scale():
     # loaded CI box; the real floor lives in the bench_gate baseline
     assert report["samples_per_s"] > 1e6
     assert report["flagged"] > 0  # the shifty cohort was caught
-
-
-def test_batched_beats_scalar():
-    report = measure_scalar_vs_batched(SCALAR_STREAMS // 4, SCALAR_TICKS)
-    print()
-    print(json.dumps(report, indent=2))
-    assert report["speedup_vs_scalar"] > 1.0
 
 
 def test_periodicity_phase_flags_square_waves():

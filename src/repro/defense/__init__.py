@@ -9,15 +9,15 @@ Detection side:
   the Collie/Husky performance attacks);
 * :class:`CacheGuard` — cache-attack detection on MPT/MTT miss and
   eviction rates (catches Pythia);
-* :class:`OnlineCounterDefense` — streaming change-point/periodicity
-  detectors (:mod:`repro.obs.insight`) watching per-tenant counter
-  *time series* rather than whole-run aggregates; reports detection
-  latency, feeding Table I's online columns.
-* :class:`DetectorBankService` / :class:`BatchedCounterDefense` — the
-  same detector suite productionized (:mod:`repro.defense.service`):
-  vectorized NumPy state multiplexing 100K+ concurrent counter
-  streams, byte-identical verdicts to the scalar detectors
-  (docs/DEFENSE.md).
+* :class:`EwmaDetector` / :class:`CusumDetector` /
+  :class:`PeriodicityDetector` — change-point and periodicity
+  detectors over counter *time series* rather than whole-run
+  aggregates, run by :class:`DetectorBankService`
+  (:mod:`repro.defense.service`): columnar NumPy state multiplexing
+  100K+ concurrent counter streams (docs/DEFENSE.md).
+* :class:`OnlineCounterDefense` — the same banks watching one tenant's
+  series at a time; reports detection latency, feeding Table I's
+  online columns.
 
 Mitigation side (Section VII):
 
@@ -38,13 +38,17 @@ from repro.defense.noise import with_noise_mitigation
 from repro.defense.online import (
     CounterTrace,
     OnlineCounterDefense,
-    OnlineVerdict,
     sample_counts,
 )
 from repro.defense.partition import PartitionedTranslationUnit, with_partitioning
 from repro.defense.service import (
-    BatchedCounterDefense,
+    DEFAULT_DETECTORS,
+    CusumDetector,
+    Detection,
     DetectorBankService,
+    EwmaDetector,
+    OnlineVerdict,
+    PeriodicityDetector,
     VerdictLatencyTracker,
     ingest_metrics_snapshots,
     ingest_trace_jsonl,
@@ -60,7 +64,11 @@ __all__ = [
     "CounterTrace",
     "OnlineCounterDefense",
     "OnlineVerdict",
-    "BatchedCounterDefense",
+    "DEFAULT_DETECTORS",
+    "Detection",
+    "EwmaDetector",
+    "CusumDetector",
+    "PeriodicityDetector",
     "DetectorBankService",
     "VerdictLatencyTracker",
     "ingest_trace_jsonl",

@@ -6,8 +6,8 @@ Real counter-based monitoring (Pythia-era eviction telemetry, sRDMA's
 accounting, an ``ethtool -S`` polling loop) is stronger than that: it
 watches the counter *time series* and can catch modulation — the
 covert signalling itself — even when every aggregate looks benign.
-This module packages the streaming detectors of
-:mod:`repro.obs.insight.detectors` as that defender:
+This module packages the detector banks of
+:mod:`repro.defense.service` as that defender, one trace at a time:
 
 * a persistent channel (Pythia) must flip durable counters every
   symbol, so its eviction/miss series is a square wave the
@@ -29,21 +29,15 @@ artifact.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.obs.insight.detectors import (
-    CusumDetector,
-    Detection,
-    EwmaDetector,
-    PeriodicityDetector,
-    StreamingDetector,
-)
+import numpy as np
 
-#: Default detector suite factories (fresh instances per watch()).
-DEFAULT_DETECTORS: tuple[Callable[[], StreamingDetector], ...] = (
-    EwmaDetector,
-    CusumDetector,
-    PeriodicityDetector,
+from repro.defense.service import (
+    Detector,
+    DetectorBankService,
+    OnlineVerdict,
+    detector_suite,
 )
 
 
@@ -68,68 +62,30 @@ class CounterTrace:
             raise ValueError("sample times must be strictly increasing")
 
 
-@dataclasses.dataclass(frozen=True)
-class OnlineVerdict:
-    """The combined outcome of watching one counter trace."""
-
-    tenant: str
-    flagged: bool
-    #: Name of the first detector to alarm ("" when none did).
-    detector: str
-    #: Sim-time from window start to the first alarm (None if never).
-    detection_latency_ns: Optional[float]
-    #: Highest per-detector alarm rate over the window.
-    flag_rate: float
-    reason: str = ""
-    #: Every detector's full verdict, keyed by detector name.
-    detections: dict[str, Detection] = dataclasses.field(
-        default_factory=dict)
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.flagged
-
-
 class OnlineCounterDefense:
     """Streams a tenant's counter series through a detector suite.
 
     ``repro.defense``-compatible: construct once, call :meth:`watch`
-    per tenant window; each call builds fresh detector instances from
-    the configured factories so tenants never share state.
+    per tenant window; each call runs a fresh one-stream
+    :class:`~repro.defense.service.DetectorBankService`, so tenants
+    never share state.
     """
 
     name = "counter-online"
 
-    def __init__(self, detector_factories: Optional[
-            Sequence[Callable[[], StreamingDetector]]] = None) -> None:
-        self.detector_factories = tuple(
-            detector_factories if detector_factories is not None
-            else DEFAULT_DETECTORS)
-        if not self.detector_factories:
-            raise ValueError("need at least one detector factory")
+    def __init__(self, detectors: Optional[Sequence[Detector]] = None
+                 ) -> None:
+        self.detectors = detector_suite(detectors)
 
     def watch(self, trace: CounterTrace) -> OnlineVerdict:
         """Run every detector over the series; earliest alarm wins."""
-        detectors = [factory() for factory in self.detector_factories]
-        for ts, value in zip(trace.times_ns, trace.values):
-            for detector in detectors:
-                detector.observe(ts, value)
-        detections = {d.name: d.finish() for d in detectors}
-        start = trace.times_ns[0]
-        flagged = [d for d in detections.values() if d.flagged]
-        if not flagged:
-            return OnlineVerdict(
-                tenant=trace.tenant, flagged=False, detector="",
-                detection_latency_ns=None, flag_rate=0.0,
-                reason=f"{trace.key} series stationary over "
-                       f"{len(trace.values)} samples",
-                detections=detections)
-        first = min(flagged, key=lambda d: (d.first_flag_ts, d.detector))
-        return OnlineVerdict(
-            tenant=trace.tenant, flagged=True, detector=first.detector,
-            detection_latency_ns=first.first_flag_ts - start,
-            flag_rate=max(d.flag_rate for d in flagged),
-            reason=first.reason,
-            detections=detections)
+        service = DetectorBankService(self.detectors, capacity=1)
+        slot = service.admit("trace", tenant=trace.tenant, key=trace.key)
+        slots = np.full(len(trace.values), slot, dtype=np.int64)
+        service.ingest_slots(slots,
+                             np.asarray(trace.times_ns, dtype=np.float64),
+                             np.asarray(trace.values, dtype=np.float64))
+        return service.verdict("trace")
 
     def watch_all(self, traces: Sequence[CounterTrace]) -> OnlineVerdict:
         """Watch several series for one tenant (e.g. eviction rate AND

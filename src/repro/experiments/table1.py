@@ -18,9 +18,9 @@ three deployed defenses as its universe.
 
 Two extra columns model a *stronger* defender — an online
 change-point/periodicity suite
-(:class:`repro.defense.BatchedCounterDefense`, the vectorized
-DetectorBank production service, verdict-identical to
-:class:`repro.defense.OnlineCounterDefense`) watching each attack's
+(:class:`repro.defense.OnlineCounterDefense`, running the columnar
+detector banks of the :class:`repro.defense.DetectorBankService`
+production service) watching each attack's
 counter **time series** instead of its whole-run aggregate:
 
 * Pythia is persistent: every 1-symbol must kick durable entries out
@@ -42,11 +42,11 @@ from repro.covert import PAPER_BITSTREAM, random_bits
 from repro.covert.inter_mr import InterMRChannel, InterMRConfig
 from repro.covert.intra_mr import IntraMRChannel, IntraMRConfig
 from repro.defense import (
-    BatchedCounterDefense,
     CacheGuard,
     CounterTrace,
     Grain1Detector,
     HarmonicDetector,
+    OnlineCounterDefense,
     TenantProfile,
     sample_counts,
 )
@@ -228,8 +228,8 @@ def run(seed: int = 0) -> ExperimentResult:
     The three deployed-defense columns (and the ``undetected`` roll-up
     over exactly those three) reproduce the paper's matrix; ``online``
     / ``detect_ms`` report the stronger streaming-counter defender
-    (:class:`repro.defense.BatchedCounterDefense`, routed through the
-    vectorized :class:`repro.defense.DetectorBankService` production
+    (:class:`repro.defense.OnlineCounterDefense`, routed through the
+    columnar :class:`repro.defense.DetectorBankService` production
     path), which catches the *persistent* channels by their counter
     modulation but still cannot see the volatile ULI channels.
     """
@@ -239,11 +239,10 @@ def run(seed: int = 0) -> ExperimentResult:
         HarmonicDetector(spec),
         CacheGuard(),
     ]
-    # the *production* online defender: the vectorized DetectorBank
-    # service (byte-identical verdicts to the scalar suite — see
-    # tests/defense/test_service_parity.py), so the matrix exercises
-    # the same code path a deployed 100K-stream monitor runs
-    online = BatchedCounterDefense()
+    # the *production* online defender: the columnar detector banks,
+    # so the matrix exercises the same code path a deployed
+    # 100K-stream monitor runs
+    online = OnlineCounterDefense()
     attacks = [
         ("perf-grain2", "P", "II", *_perf_attack_profile()),
         ("pythia", "C+S", "IV", *_pythia_profile(seed)),

@@ -9,9 +9,8 @@ Three pieces, assembled by :mod:`repro.obs.runtime`:
 * :mod:`repro.obs.exporters` — JSONL and Chrome trace-event writers
   plus the validators behind ``python -m repro.obs validate``.
 * :mod:`repro.obs.insight` — the analysis layer over exported
-  artifacts: :class:`TraceFrame` indexing, streaming change-point /
-  periodicity detectors, ``python -m repro.obs report`` and
-  ``python -m repro.obs diff``.
+  artifacts: :class:`TraceFrame` indexing, ``python -m repro.obs
+  report`` and ``python -m repro.obs diff``.
 * :mod:`repro.obs.fleet` — the cross-process telemetry plane: live
   metric-delta streaming from supervised workers, deterministic fleet
   snapshot merging, and the declarative SLO engine with burn-rate
@@ -45,17 +44,7 @@ from .fleet import (
     snapshot_delta,
     write_fleet_artifacts,
 )
-from .insight import (
-    CusumDetector,
-    Detection,
-    DetectorBank,
-    DiffResult,
-    EwmaDetector,
-    PeriodicityDetector,
-    TraceFrame,
-    diff_runs,
-    render_report,
-)
+from .insight import DiffResult, TraceFrame, diff_runs, render_report
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .runtime import (
     ObsSession,
@@ -72,17 +61,12 @@ from .tracer import TraceEvent, Tracer
 
 __all__ = [
     "Counter",
-    "CusumDetector",
-    "Detection",
-    "DetectorBank",
     "DiffResult",
-    "EwmaDetector",
     "FleetAggregator",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ObsSession",
-    "PeriodicityDetector",
     "SloEngine",
     "SloSpec",
     "SloSpecError",

@@ -16,7 +16,6 @@ import json
 import pathlib
 from typing import Optional, Sequence
 
-from repro.obs.insight.detectors import DetectorBank
 from repro.obs.insight.frame import TraceFrame
 
 #: Spans shown in the "slowest spans" table.
@@ -131,20 +130,26 @@ def _trace_sections(frame: TraceFrame, top: int) -> list[str]:
                      f"dominant periods: {period_text}.")
 
     # -- counter series + detector verdicts ---------------------------
+    # imported here: repro.defense -> repro.rnic -> repro.obs would
+    # cycle at package import time
+    from repro.defense import CounterTrace, OnlineCounterDefense
+
+    defense = OnlineCounterDefense()
     detector_rows = []
     for component, name, key in frame.counter_keys():
         times, values = frame.counter_series(name, key,
                                              component=component)
         if times.size < _DETECTOR_MIN_SAMPLES:
             continue
-        bank = DetectorBank()
-        for ts, value in zip(times, values):
-            bank.observe(float(ts), float(value))
-        results = bank.results()
-        verdicts = []
-        for det_name in sorted(results):
-            detection = results[det_name]
-            verdicts.append("FLAG" if detection.flagged else "ok")
+        # the table shows only FLAG/ok, which never depends on sample
+        # times, so sample indices stand in for them: a trace that
+        # repeats a sampler tick still renders
+        verdict = defense.watch(CounterTrace(
+            tenant=component, key=key,
+            times_ns=tuple(float(index) for index in range(times.size)),
+            values=tuple(values.tolist())))
+        verdicts = ["FLAG" if verdict.detections[det_name].flagged else "ok"
+                    for det_name in sorted(verdict.detections)]
         detector_rows.append([
             f"`{component}`", f"`{name}`", f"`{key}`", str(times.size),
             _num(float(values.mean())), *verdicts,

@@ -17,21 +17,39 @@ import pytest
 
 from repro.defense import (
     CounterTrace,
+    CusumDetector,
+    EwmaDetector,
     OnlineCounterDefense,
+    PeriodicityDetector,
     sample_counts,
 )
-from repro.obs.insight.detectors import (
-    CusumDetector,
-    DetectorBank,
-    EwmaDetector,
-    PeriodicityDetector,
-    periodicity_score,
-    run_series,
-)
+from repro.defense.service import DetectorBankService, periodicity_score
 
 
 def _series(values):
     return [float(i) for i in range(len(values))], [float(v) for v in values]
+
+
+def _run(detector, times, values):
+    """Feed a whole series through one detector; return its verdict."""
+    trace = CounterTrace("t", "k", tuple(times), tuple(values))
+    return OnlineCounterDefense((detector,)).watch(trace).detections[
+        detector.name]
+
+
+def _alarms(detector, values):
+    """Per-sample alarm flags: feed one sample per ingest and watch the
+    detector's flag count."""
+    service = DetectorBankService((detector,), capacity=1)
+    service.admit("s")
+    alarms = []
+    flags = 0
+    for ts, value in zip(*_series(values)):
+        service.ingest(["s"], ts, [value])
+        detection = service.verdict("s").detections[detector.name]
+        alarms.append(detection.flags > flags)
+        flags = detection.flags
+    return alarms, detection
 
 
 def _trace(values, tenant="t0", key="k", start=1000.0, step=1000.0):
@@ -50,7 +68,7 @@ def test_ewma_idle_then_active_dead_zone():
     band to 0.0, which the old ``band > 0`` guard read as 'never
     alarm' — exactly where a defender most wants sensitivity."""
     values = [0.0] * 12 + [50.0] * 6
-    detection = run_series(EwmaDetector(), *_series(values))
+    detection = _run(EwmaDetector(), *_series(values))
     assert detection.flagged
     assert detection.first_flag_ts == 12.0  # the first level shift
     # shielded baseline: every shifted sample keeps alarming, so the
@@ -62,7 +80,7 @@ def test_ewma_idle_then_tiny_activity_still_alarms():
     """The epsilon floor is absolute, so even a sub-unit blip off a
     degenerate zero baseline is a residual the detector can see."""
     values = [0.0] * 16 + [0.5] * 4
-    detection = run_series(EwmaDetector(), *_series(values))
+    detection = _run(EwmaDetector(), *_series(values))
     assert detection.flagged
     assert detection.first_flag_ts == 16.0
 
@@ -78,11 +96,9 @@ def test_ewma_min_abs_band_validation():
 # Constant / degenerate baselines
 # ----------------------------------------------------------------------
 def test_constant_series_every_detector_silent():
-    times, values = _series([7.7] * 96)
-    bank = DetectorBank()
-    for ts, value in zip(times, values):
-        bank.observe(ts, value)
-    for name, detection in bank.results().items():
+    verdict = OnlineCounterDefense().watch(_trace([7.7] * 96))
+    assert len(verdict.detections) == 3
+    for name, detection in verdict.detections.items():
         assert not detection.flagged, name
         assert detection.flags == 0 and detection.samples == 96
 
@@ -90,11 +106,8 @@ def test_constant_series_every_detector_silent():
 def test_constant_zero_series_silent():
     """All-zero forever is idle, not an attack: the epsilon floor must
     not turn a flat zero series into alarms."""
-    times, values = _series([0.0] * 64)
-    bank = DetectorBank()
-    for ts, value in zip(times, values):
-        bank.observe(ts, value)
-    assert not any(d.flagged for d in bank.results().values())
+    verdict = OnlineCounterDefense().watch(_trace([0.0] * 64))
+    assert not any(d.flagged for d in verdict.detections.values())
 
 
 def test_cusum_zero_baseline_flags_first_shift():
@@ -102,7 +115,7 @@ def test_cusum_zero_baseline_flags_first_shift():
     so the first shifted sample standardizes to an enormous z and
     alarms immediately instead of dividing by zero."""
     values = [0.0] * 8 + [1.0] * 4
-    detection = run_series(CusumDetector(), *_series(values))
+    detection = _run(CusumDetector(), *_series(values))
     assert detection.flagged
     assert detection.first_flag_ts == 8.0
 
@@ -116,12 +129,11 @@ def test_cusum_post_alarm_restart_retriggers_periodically():
     saturating into one sticky alarm.  +3 floored-sigma with k=0.5
     accumulates 2.5 sigma/sample against h=6: alarm every 3rd sample."""
     values = [100.0] * 8 + [115.0] * 24
-    detector = CusumDetector()
-    alarm_indices = [index for index, (ts, value)
-                     in enumerate(zip(*_series(values)))
-                     if detector.observe(float(ts), value)]
+    alarms, detection = _alarms(CusumDetector(), values)
+    alarm_indices = [index for index, alarmed in enumerate(alarms)
+                     if alarmed]
     assert alarm_indices == [10, 13, 16, 19, 22, 25, 28, 31]
-    assert detector.finish().flags == 8
+    assert detection.flags == 8
 
 
 # ----------------------------------------------------------------------
@@ -162,29 +174,39 @@ def test_watch_all_tie_breaks_deterministically_on_key():
 
 
 # ----------------------------------------------------------------------
-# Periodicity buffer (perf fix: deque ring, O(1) eviction)
+# Periodicity ring buffer vs a plain-list window
 # ----------------------------------------------------------------------
-class _ListBufferPeriodicity(PeriodicityDetector):
-    """The pre-fix O(window)-shift buffer, as an equivalence oracle."""
+class _ListBufferPeriodicity:
+    """An O(window)-shift list buffer, as an equivalence oracle for the
+    bank's ring array."""
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self._buffer = []  # plain list, del [0] eviction
+    def __init__(self, params):
+        self.params = params
+        self.buffer = []
+        self.samples = 0
+        self.flags = 0
+        self.first_flag_ts = None
+        self.reason = ""
 
-    def _alarm(self, ts, value):
-        self._buffer.append(value)
-        if len(self._buffer) > self.window:
-            del self._buffer[0]
-        if len(self._buffer) < self.window or self._samples % self.stride:
+    def observe(self, ts, value):
+        params = self.params
+        self.samples += 1
+        self.buffer.append(value)
+        if len(self.buffer) > params.window:
+            del self.buffer[0]
+        if len(self.buffer) < params.window or \
+                self.samples % params.stride:
             return False
         best_score, best_lag = periodicity_score(
-            self._buffer, self.min_cov, self.power_of_two_only)
-        if best_score > self.score_threshold:
-            if not self._reason:
-                self._reason = (f"periodic modulation at lag {best_lag} "
-                                f"(acf {best_score:.2f})")
-            return True
-        return False
+            self.buffer, params.min_cov, params.power_of_two_only)
+        if best_score <= params.score_threshold:
+            return False
+        self.flags += 1
+        if self.first_flag_ts is None:
+            self.first_flag_ts = ts
+            self.reason = (f"periodic modulation at lag {best_lag} "
+                           f"(acf {best_score:.2f})")
+        return True
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -195,15 +217,22 @@ def test_periodicity_deque_matches_list_reference(seed):
     square = (([10.0] * 8 + [30.0] * 8) * 10)
     noisy = (100.0 + rng.normal(0.0, 5.0, 160)).tolist()
     ramp = (np.arange(160) % 24 * 3.0 + 50.0).tolist()
+    # the tuned suite scores windows whose ring split is never aligned
+    # to the window, with a threshold low enough to alarm on noise
+    suites = (PeriodicityDetector(),
+              PeriodicityDetector(window=24, stride=5, score_threshold=0.1,
+                                  min_cov=0.01))
     for values in (square, noisy, ramp):
-        fast = PeriodicityDetector()
-        reference = _ListBufferPeriodicity()
-        times, series = _series(values)
-        fast_alarms = [fast.observe(ts, v) for ts, v in zip(times, series)]
-        ref_alarms = [reference.observe(ts, v)
-                      for ts, v in zip(times, series)]
-        assert fast_alarms == ref_alarms
-        assert fast.finish() == reference.finish()
+        for params in suites:
+            reference = _ListBufferPeriodicity(params)
+            ref_alarms = [reference.observe(ts, v)
+                          for ts, v in zip(*_series(values))]
+            bank_alarms, detection = _alarms(params, values)
+            assert bank_alarms == ref_alarms
+            assert (detection.flags, detection.samples,
+                    detection.first_flag_ts, detection.reason) == (
+                reference.flags, reference.samples,
+                reference.first_flag_ts, reference.reason)
 
 
 # ----------------------------------------------------------------------

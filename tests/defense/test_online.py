@@ -5,11 +5,11 @@ import pytest
 
 from repro.defense import (
     CounterTrace,
+    EwmaDetector,
     OnlineCounterDefense,
     OnlineVerdict,
     sample_counts,
 )
-from repro.obs.insight.detectors import EwmaDetector
 
 
 def _trace(values, tenant="t0", key="rx_pps", step=1000.0):
@@ -70,7 +70,7 @@ def test_watch_all_earliest_alarm_wins():
 
 
 def test_custom_detector_suite():
-    defense = OnlineCounterDefense([lambda: EwmaDetector(k=3.0)])
+    defense = OnlineCounterDefense([EwmaDetector(k=3.0)])
     verdict = defense.watch(_trace([100.0] * 16 + [900.0] * 16))
     assert verdict.flagged
     assert verdict.detector == "ewma"

@@ -1,25 +1,33 @@
-"""Cross-implementation equivalence: the vectorized
-:class:`~repro.defense.service.DetectorBankService` must be
-*byte-identical* to the scalar :mod:`repro.obs.insight.detectors`
-suite — flags, flag counts, first-alarm timestamps, latencies, and
-reason strings — on every series family, in every multiplexing shape
-(whole-trace, tick-interleaved, duplicate-ids-in-one-batch, slot
-reuse after retirement).  Same contract shape as the engine
-equivalence suite in ``tests/sim/test_engines.py``: two
-implementations, one behaviour.
+"""Frozen verdict goldens for the detector banks.
+
+``golden/detector_verdicts.json`` holds every verdict of the per-sample
+reference detectors the banks replaced, recorded on the series and
+multiplexing shapes below: whole trace, custom-tuned suite,
+single-detector suites, tick-interleaved streams, duplicate ids in one
+batch, slot reuse after retirement, and ``watch_all``.  Every field is
+compared exactly — flags, sample counts, detector names, reason
+strings, and first-alarm time, latency and flag rate as ``repr``'d
+floats — so a change to any operation's order shows up here.
 """
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from repro.defense.online import CounterTrace, OnlineCounterDefense
-from repro.defense.service import BatchedCounterDefense, DetectorBankService
-from repro.obs.insight.detectors import (
+from repro.defense import (
+    CounterTrace,
     CusumDetector,
     EwmaDetector,
+    OnlineCounterDefense,
     PeriodicityDetector,
-    run_series,
 )
+from repro.defense.service import DetectorBankService
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "detector_verdicts.json")
+    .read_text())
 
 _RNG = np.random.default_rng(20260808)
 
@@ -38,6 +46,12 @@ SERIES = {
     "impulse": [200.0] * 40 + [900.0] + [200.0] * 40,
 }
 
+CUSTOM_TUNED = (
+    EwmaDetector(alpha=0.5, k=3.0, warmup=4, min_rel_band=0.1),
+    CusumDetector(k=0.25, h=3.0, warmup=4),
+    PeriodicityDetector(window=16, stride=4, power_of_two_only=True),
+)
+
 
 def _trace(values, tenant="tenant", key="counter", start=1000.0,
            step=1000.0):
@@ -47,17 +61,27 @@ def _trace(values, tenant="tenant", key="counter", start=1000.0,
         values=tuple(float(v) for v in values))
 
 
-def _assert_verdicts_identical(scalar, batched):
-    assert scalar.flagged == batched.flagged
-    assert scalar.detector == batched.detector
-    assert scalar.detection_latency_ns == batched.detection_latency_ns
-    assert scalar.flag_rate == batched.flag_rate
-    assert scalar.reason == batched.reason
-    assert set(scalar.detections) == set(batched.detections)
-    for name in scalar.detections:
-        # Detection is a frozen dataclass: == covers flags, samples,
-        # first_flag_ts (exact), and the reason string
-        assert scalar.detections[name] == batched.detections[name], name
+def _float(value):
+    return None if value is None else repr(float(value))
+
+
+def _detection(detection):
+    return {"detector": detection.detector, "flagged": detection.flagged,
+            "first_flag_ts": _float(detection.first_flag_ts),
+            "flags": detection.flags, "samples": detection.samples,
+            "flag_rate": _float(detection.flag_rate),
+            "reason": detection.reason}
+
+
+def _verdict(verdict):
+    return {"tenant": verdict.tenant, "flagged": verdict.flagged,
+            "detector": verdict.detector,
+            "detection_latency_ns": _float(verdict.detection_latency_ns),
+            "flag_rate": _float(verdict.flag_rate),
+            "reason": verdict.reason,
+            "detections": {name: _detection(detection)
+                           for name, detection
+                           in sorted(verdict.detections.items())}}
 
 
 @pytest.fixture(params=sorted(SERIES), ids=sorted(SERIES))
@@ -66,31 +90,29 @@ def family(request):
 
 
 def test_watch_verdict_byte_identical(family):
-    trace = _trace(SERIES[family])
-    scalar = OnlineCounterDefense().watch(trace)
-    batched = BatchedCounterDefense().watch(trace)
-    assert scalar.tenant == batched.tenant
-    _assert_verdicts_identical(scalar, batched)
+    verdict = OnlineCounterDefense().watch(_trace(SERIES[family]))
+    assert _verdict(verdict) == GOLDEN["watch"][family]
 
 
 def test_custom_tuned_detectors_vectorize(family):
-    factories = (
-        lambda: EwmaDetector(alpha=0.5, k=3.0, warmup=4,
-                             min_rel_band=0.1),
-        lambda: CusumDetector(k=0.25, h=3.0, warmup=4),
-        lambda: PeriodicityDetector(window=16, stride=4,
-                                    power_of_two_only=True),
-    )
+    verdict = OnlineCounterDefense(CUSTOM_TUNED).watch(
+        _trace(SERIES[family]))
+    assert _verdict(verdict) == GOLDEN["custom_tuned"][family]
+
+
+def test_single_detector_suites_match(family):
     trace = _trace(SERIES[family])
-    scalar = OnlineCounterDefense(factories).watch(trace)
-    batched = BatchedCounterDefense(factories).watch(trace)
-    _assert_verdicts_identical(scalar, batched)
+    for detector in (EwmaDetector(), CusumDetector(),
+                     PeriodicityDetector()):
+        verdict = OnlineCounterDefense((detector,)).watch(trace)
+        assert list(verdict.detections) == [detector.name]
+        assert (_detection(verdict.detections[detector.name])
+                == GOLDEN["single_detector"][family][detector.name])
 
 
 def test_multiplexed_interleaved_matches_scalar():
     """Many streams of different lengths advanced tick-by-tick through
-    ONE service — the production shape — against stream-at-a-time
-    scalar runs."""
+    ONE service — the production shape."""
     rng = np.random.default_rng(11)
     streams = {}
     for index in range(40):
@@ -110,33 +132,28 @@ def test_multiplexed_interleaved_matches_scalar():
             active, 1000.0 * (tick + 1),
             [streams[s][tick] for s in active])
 
-    scalar = OnlineCounterDefense()
+    assert sorted(GOLDEN["interleaved"]) == sorted(streams)
     for stream_id in sorted(streams):
-        trace = _trace(streams[stream_id], tenant=stream_id,
-                       key=stream_id)
-        expected = scalar.watch(trace)
-        got = service.verdict(stream_id)
-        _assert_verdicts_identical(expected, got)
+        assert (_verdict(service.verdict(stream_id))
+                == GOLDEN["interleaved"][stream_id]), stream_id
     # and the bulk readout agrees with the per-stream one
     everything = service.verdicts()
     assert sorted(everything) == sorted(streams)
     for stream_id, verdict in everything.items():
-        _assert_verdicts_identical(service.verdict(stream_id), verdict)
+        assert verdict == service.verdict(stream_id)
 
 
 def test_duplicate_ids_in_one_batch_preserve_order():
     """A batch carrying several samples for the same stream must apply
     them in position order (sequential rounds), matching a sample-at-a-
-    time scalar feed."""
+    time feed."""
     values = SERIES["level_shift"]
     service = DetectorBankService()
     service.admit("dup")
     ids = ["dup"] * len(values)
     times = [1000.0 * (i + 1) for i in range(len(values))]
     service.ingest(ids, times, values)
-    expected = OnlineCounterDefense().watch(
-        _trace(values, tenant="dup", key="dup"))
-    _assert_verdicts_identical(expected, service.verdict("dup"))
+    assert _verdict(service.verdict("dup")) == GOLDEN["duplicate_ids"]
 
 
 def test_retire_returns_final_verdict_and_reuses_slot():
@@ -146,7 +163,7 @@ def test_retire_returns_final_verdict_and_reuses_slot():
     service.ingest(["hot"] * len(values),
                    [1000.0 * (i + 1) for i in range(len(values))], values)
     final = service.retire("hot")
-    assert final.flagged and final.tenant == "t0"
+    assert _verdict(final) == GOLDEN["retire"]["hot"]
     assert "hot" not in service
     with pytest.raises(KeyError):
         service.verdict("hot")
@@ -156,41 +173,24 @@ def test_retire_returns_final_verdict_and_reuses_slot():
     flat = SERIES["flat"]
     service.ingest(["cold"] * len(flat),
                    [1000.0 * (i + 1) for i in range(len(flat))], flat)
-    verdict = service.verdict("cold")
-    assert not verdict.flagged
-    assert verdict.reason == f"cold series stationary over {len(flat)} samples"
-    for detection in verdict.detections.values():
-        assert detection.flags == 0 and detection.samples == len(flat)
-        assert detection.first_flag_ts is None and detection.reason == ""
+    assert _verdict(service.verdict("cold")) == GOLDEN["retire"]["cold"]
 
 
 def test_stationary_reason_matches_scalar_watch():
     trace = _trace(SERIES["flat"], tenant="quiet", key="rx_pps")
-    scalar = OnlineCounterDefense().watch(trace)
-    batched = BatchedCounterDefense().watch(trace)
-    assert "stationary" in batched.reason
-    assert scalar.reason == batched.reason
+    verdict = OnlineCounterDefense().watch(trace)
+    assert "stationary" in verdict.reason
+    assert _verdict(verdict) == GOLDEN["stationary"]
 
 
 def test_watch_all_matches_scalar_combination():
-    scalar = OnlineCounterDefense()
-    batched = BatchedCounterDefense()
     traces = [
         _trace(SERIES["level_shift"], key="late", start=50_000.0),
         _trace(SERIES["square_wave"], key="early", start=1_000.0),
         _trace(SERIES["flat"], key="quiet", start=1_000.0),
     ]
-    _assert_verdicts_identical(scalar.watch_all(traces),
-                               batched.watch_all(traces))
-
-
-def test_single_detector_suites_match(family):
-    for factory in (EwmaDetector, CusumDetector, PeriodicityDetector):
-        trace = _trace(SERIES[family])
-        scalar_detection = run_series(
-            factory(), list(trace.times_ns), list(trace.values))
-        batched = BatchedCounterDefense((factory,)).watch(trace)
-        assert batched.detections[factory.name] == scalar_detection
+    verdict = OnlineCounterDefense().watch_all(traces)
+    assert _verdict(verdict) == GOLDEN["watch_all"]
 
 
 def test_ingest_validation():
@@ -214,11 +214,13 @@ def test_ingest_validation():
 
 
 def test_unsupported_detector_type_raises():
-    class Exotic(EwmaDetector):
-        name = "exotic"
-
-    with pytest.raises(TypeError):
-        DetectorBankService((Exotic,))
+    """A suite holds detector parameter objects; a class or a factory
+    in their place is refused up front."""
+    for foreign in (EwmaDetector, lambda: EwmaDetector(), object()):
+        with pytest.raises(TypeError):
+            DetectorBankService((foreign,))
+        with pytest.raises(TypeError):
+            OnlineCounterDefense((foreign,))
 
 
 def test_admit_missing_auto_admits():

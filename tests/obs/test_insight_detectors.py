@@ -1,34 +1,45 @@
-"""Streaming detectors: alarms on modulation, silence on stationarity."""
+"""Counter-series detectors: alarms on modulation, silence on
+stationarity.  The detectors live in :mod:`repro.defense.service`; the
+run report's online-verdict table renders through them."""
 
 import pytest
 
-from repro.obs.insight.detectors import (
+from repro.defense import (
+    CounterTrace,
     CusumDetector,
-    DetectorBank,
     EwmaDetector,
+    OnlineCounterDefense,
     PeriodicityDetector,
-    run_series,
 )
+from repro.defense.service import DetectorBankService
 
 
 def _series(values):
     return list(range(len(values))), [float(v) for v in values]
 
 
+def _run(detector, times, values):
+    """Feed a whole series through one detector; return its verdict."""
+    trace = CounterTrace("t", "k", tuple(float(ts) for ts in times),
+                         tuple(values))
+    return OnlineCounterDefense((detector,)).watch(trace).detections[
+        detector.name]
+
+
 def test_ewma_flags_level_shift_after_warmup():
     values = [100.0] * 16 + [300.0] * 8
-    detection = run_series(EwmaDetector(), *_series(values))
+    detection = _run(EwmaDetector(), *_series(values))
     assert detection.flagged
     assert detection.first_flag_ts == 16  # the first shifted sample
     assert detection.reason
 
 
 def test_ewma_silent_on_flat_and_on_quantization_noise():
-    flat = run_series(EwmaDetector(), *_series([100.0] * 32))
+    flat = _run(EwmaDetector(), *_series([100.0] * 32))
     assert not flat.flagged
     # a counter ticking 1000/1001 is stationary, not an attack: the
     # relative band floor absorbs quantization even though std ~ 0.5
-    ticking = run_series(
+    ticking = _run(
         EwmaDetector(), *_series([1000, 1001] * 16))
     assert not ticking.flagged
 
@@ -37,7 +48,7 @@ def test_ewma_shielded_baseline_keeps_alarming():
     """Alarming samples must not drag the baseline toward the attack
     level, so a sustained shift keeps flagging (shielded EWMA)."""
     values = [100.0] * 16 + [300.0] * 16
-    detection = run_series(EwmaDetector(), *_series(values))
+    detection = _run(EwmaDetector(), *_series(values))
     assert detection.flags == 16
 
 
@@ -47,8 +58,8 @@ def test_cusum_catches_small_persistent_shift():
     base = [100.0, 102.0] * 8              # warmup: mean 101, std ~ 5.2 (floor)
     drifted = [112.0] * 24                  # ~ +2 floored sigma, persistent
     times, values = _series(base + drifted)
-    assert not run_series(EwmaDetector(k=6.0), times, values).flagged
-    detection = run_series(CusumDetector(), times, values)
+    assert not _run(EwmaDetector(k=6.0), times, values).flagged
+    detection = _run(CusumDetector(), times, values)
     assert detection.flagged
     assert "shift" in detection.reason
 
@@ -57,17 +68,17 @@ def test_cusum_resets_after_alarm_and_retriggers():
     base = [100.0] * 8
     shift = [200.0] * 8
     times, values = _series(base + shift + shift)
-    detection = run_series(CusumDetector(), times, values)
+    detection = _run(CusumDetector(), times, values)
     assert detection.flagged
     assert detection.flags >= 2  # restart re-accumulates, re-alarms
 
 
 def test_periodicity_flags_square_wave_not_flat():
     square = ([10.0] * 8 + [30.0] * 8) * 8
-    detection = run_series(PeriodicityDetector(), *_series(square))
+    detection = _run(PeriodicityDetector(), *_series(square))
     assert detection.flagged
     assert "lag" in detection.reason
-    flat = run_series(PeriodicityDetector(), *_series([10.0] * 128))
+    flat = _run(PeriodicityDetector(), *_series([10.0] * 128))
     assert not flat.flagged  # CoV gate: flat trivially self-correlates
 
 
@@ -76,18 +87,17 @@ def test_periodicity_power_of_two_restriction():
     not powers of two) stays silent, while period 16 still alarms."""
     period12 = ([10.0] * 6 + [30.0] * 6) * 12
     times, values = _series(period12)
-    assert run_series(PeriodicityDetector(), times, values).flagged
-    assert not run_series(
+    assert _run(PeriodicityDetector(), times, values).flagged
+    assert not _run(
         PeriodicityDetector(power_of_two_only=True), times, values).flagged
     period16 = ([10.0] * 8 + [30.0] * 8) * 9
-    assert run_series(PeriodicityDetector(power_of_two_only=True),
-                      *_series(period16)).flagged
+    assert _run(PeriodicityDetector(power_of_two_only=True),
+                *_series(period16)).flagged
 
 
 def test_detection_bookkeeping_and_flag_rate():
-    detector = EwmaDetector()
     times, values = _series([100.0] * 16 + [300.0] * 4)
-    detection = run_series(detector, times, values)
+    detection = _run(EwmaDetector(), times, values)
     assert detection.samples == 20
     assert detection.flags == 4
     assert detection.flag_rate == pytest.approx(0.2)
@@ -106,15 +116,16 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         PeriodicityDetector(stride=0)
     with pytest.raises(ValueError):
-        run_series(EwmaDetector(), [1.0, 2.0], [1.0])
+        _run(EwmaDetector(), [1.0, 2.0], [1.0])
 
 
 def test_bank_runs_all_and_rejects_duplicates():
-    bank = DetectorBank()
-    for ts, value in zip(*_series([100.0] * 16 + [300.0] * 16)):
-        bank.observe(ts, value)
-    results = bank.results()
+    verdict = OnlineCounterDefense().watch(CounterTrace(
+        "t", "k", *map(tuple, _series([100.0] * 16 + [300.0] * 16))))
+    results = verdict.detections
     assert set(results) == {"ewma", "cusum", "periodicity"}
     assert results["ewma"].flagged and results["cusum"].flagged
     with pytest.raises(ValueError):
-        DetectorBank([EwmaDetector(), EwmaDetector()])
+        DetectorBankService([EwmaDetector(), EwmaDetector()])
+    with pytest.raises(ValueError):
+        OnlineCounterDefense([EwmaDetector(), EwmaDetector(k=3.0)])

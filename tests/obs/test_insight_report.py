@@ -56,6 +56,30 @@ def test_report_sections_and_byte_stability(tmp_path):
     assert render_report(run) == report
 
 
+def test_report_detector_rows_survive_repeated_sampler_ticks(tmp_path):
+    """A counter trace that repeats a sampler tick still renders, and
+    its FLAG/ok row equals the one for the same values sampled at
+    distinct times."""
+    def detector_rows(run_dir, times):
+        run_dir.mkdir()
+        events = [TraceEvent("bw", PHASE_COUNTER, ts, "telemetry",
+                             args={"bps": 30.0 if (i // 8) % 2 else 10.0,
+                                   "idle": 5.0})
+                  for i, ts in enumerate(times)]
+        write_jsonl(events, run_dir / "exp.trace.jsonl")
+        return [line for line in render_report(run_dir).splitlines()
+                if line.startswith("| `telemetry`")]
+
+    distinct = detector_rows(tmp_path / "distinct",
+                             [1000.0 * i for i in range(128)])
+    repeated = detector_rows(tmp_path / "repeated",
+                             [1000.0 * (i // 2) for i in range(128)])
+    assert repeated == distinct
+    bps, idle = distinct
+    assert "`bps` | 128 |" in bps and "FLAG" in bps
+    assert idle.endswith("| ok | ok | ok |")
+
+
 def test_report_contains_no_absolute_paths(tmp_path):
     run = _make_run(tmp_path / "run")
     report = render_report(run)

@@ -8,7 +8,6 @@ import pytest
 from repro import obs
 from repro.sim import Simulator
 from repro.sim.event import PyEventCore
-from repro.sim.kernel import make_simulator_class
 
 CORES = [PyEventCore]
 try:
@@ -16,8 +15,6 @@ try:
     CORES.append(_speedups.EventCore)
 except ImportError:
     pass
-
-SIM_CLASSES = {core.__name__: make_simulator_class(core) for core in CORES}
 
 
 @pytest.fixture(autouse=True)
@@ -144,13 +141,11 @@ def _drive(sim) -> None:
     sim.run()
 
 
-@pytest.mark.skipif(len(CORES) < 2,
-                    reason="C core not built; nothing to compare")
-def test_cross_engine_dispatch_traces_are_identical():
+def test_cross_engine_dispatch_traces_are_identical(cross_engine_classes):
     """The C and pure-Python cores must feed the obs tracer identical
     records through the shared dispatch-hook surface."""
     records = {}
-    for name, sim_class in SIM_CLASSES.items():
+    for name, sim_class in cross_engine_classes.items():
         obs.install(trace=True)
         sim = sim_class()
         _drive(sim)
@@ -166,13 +161,11 @@ def test_cross_engine_dispatch_traces_are_identical():
         assert outcome == reference, name
 
 
-@pytest.mark.skipif(len(CORES) < 2,
-                    reason="C core not built; nothing to compare")
-def test_cross_engine_tracing_preserves_digest_equality():
+def test_cross_engine_tracing_preserves_digest_equality(cross_engine_classes):
     """Hook multiplexing (digest + obs tracer together) must not break
     the engines' trace-digest agreement."""
     digests = {}
-    for name, sim_class in SIM_CLASSES.items():
+    for name, sim_class in cross_engine_classes.items():
         obs.install(trace=True)
         sim = sim_class(trace=True)
         _drive(sim)

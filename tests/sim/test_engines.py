@@ -127,12 +127,10 @@ class TestPerEngine:
         assert other.trace_digest != digests[0]
 
 
-@pytest.mark.skipif(len(CORES) < 2,
-                    reason="C core not built; nothing to compare")
 class TestCrossEngine:
-    def test_engines_agree(self):
+    def test_engines_agree(self, cross_engine_classes):
         results = {}
-        for name, sim_class in SIM_CLASSES.items():
+        for name, sim_class in cross_engine_classes.items():
             sim = sim_class(trace=True)
             fired = _drive(sim)
             results[name] = (
@@ -142,9 +140,9 @@ class TestCrossEngine:
         for name, outcome in results.items():
             assert outcome == reference, name
 
-    def test_engines_agree_on_bounded_runs(self):
+    def test_engines_agree_on_bounded_runs(self, cross_engine_classes):
         outcomes = {}
-        for name, sim_class in SIM_CLASSES.items():
+        for name, sim_class in cross_engine_classes.items():
             sim = sim_class()
             fired = []
             for t in range(20):

@@ -35,9 +35,8 @@ supervised batch with telemetry off.  A fourth gate drives the
 vectorized defense service
 (:mod:`repro.defense.service`) at 100K concurrent counter streams and
 FAILS when fleet ingest throughput drops more than ``--tolerance``
-below the committed ``defense`` floor (its batched-vs-scalar speedup
-is advisory); being pure NumPy, it gates even when the kernel engine
-differs from the baseline's.  Baselines are machine-relative
+below the committed ``defense`` floor; being pure NumPy, it gates
+even when the kernel engine differs from the baseline's.  Baselines are machine-relative
 and should be *conservative floors* — the worst min a healthy build
 produces on that machine, not a lucky quiet-box run — or the gate
 flaps on load noise.  Refresh with ``--update-baseline`` when the
@@ -330,9 +329,6 @@ def obs_gate(report: dict, tolerance: float) -> int:
 #: Concurrent counter streams the gate drives through one service —
 #: the production target from the DetectorBank service work.
 DEFENSE_STREAMS = 100_000
-#: Streams for the scalar-vs-batched comparison (the scalar side is
-#: the expensive one; fleet-width would cost seconds for no signal).
-DEFENSE_COMPARE_STREAMS = 2048
 
 
 def bench_defense_scale() -> dict:
@@ -345,35 +341,21 @@ def bench_defense_scale() -> dict:
     """
     from benchmarks.bench_defense_throughput import (
         FLEET_TICKS,
-        SCALAR_TICKS,
-        measure_scalar_vs_batched,
         measure_service,
     )
 
-    fleet = measure_service(DEFENSE_STREAMS, FLEET_TICKS)
-    comparison = measure_scalar_vs_batched(
-        DEFENSE_COMPARE_STREAMS, SCALAR_TICKS)
-    return {"fleet": fleet, "comparison": comparison}
+    return {"fleet": measure_service(DEFENSE_STREAMS, FLEET_TICKS)}
 
 
 def defense_gate(report: dict, baseline_path: pathlib.Path,
                  tolerance: float) -> int:
     """Fail when fleet-scale ingest throughput drops more than the
-    tolerance below the committed floor.  The batched-vs-scalar
-    speedup is advisory: it must stay >= 1x or the service has lost
-    its reason to exist, but machine noise on the scalar side should
-    not block a merge."""
-    section = report["defense"]
-    fleet = section["fleet"]
-    comparison = section["comparison"]
-    speedup = comparison["speedup_vs_scalar"]
-    speedup_note = ("ok" if speedup >= 1.0 else "slow (advisory)")
+    tolerance below the committed floor."""
+    fleet = report["defense"]["fleet"]
     print(f"  defense fleet: {fleet['streams']:,} streams x "
           f"{fleet['ticks']} ticks, {fleet['samples_per_s']:,.0f} "
           f"samples/s, verdict p99 {fleet['verdict_p99_us']:.0f} us, "
           f"{fleet['bytes_per_stream']:,.0f} B/stream")
-    print(f"  defense batched-vs-scalar (advisory): {speedup:.2f}x on "
-          f"{comparison['streams']:,} streams [{speedup_note}]")
     if not baseline_path.exists():
         print("  defense gate skipped: no committed baseline")
         return 0

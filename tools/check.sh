@@ -43,9 +43,9 @@
 #                      then the optimized .so is restored before the
 #                      bench gate
 #  11. defense smoke — BLOCKING: the vectorized DetectorBank service
-#                      (docs/DEFENSE.md): the scalar/batched verdict-
-#                      parity and edge-case suites, then a REPRO_QUICK
-#                      run of benchmarks/bench_defense_throughput.py
+#                      (docs/DEFENSE.md): the frozen golden-verdict and
+#                      edge-case suites, then a REPRO_QUICK run of
+#                      benchmarks/bench_defense_throughput.py
 #  12. slo smoke     — BLOCKING: the fleet telemetry plane end to end
 #                      (docs/OBSERVABILITY.md "Fleet telemetry &
 #                      SLOs"): a two-experiment --jobs 2 run with
