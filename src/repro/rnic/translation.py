@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import zlib
-from typing import Hashable, Optional
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -117,6 +117,8 @@ class TranslationUnit:
     pins the cache set mapping: raw string keys would go through
     Python's per-process randomized ``hash()``, which would break
     byte-identical replay across worker processes (``--jobs N``).
+    :meth:`admit_chain` admits a whole closed-loop request chain (the
+    Figure 13 trace synthesizer's shape) with the same results.
     """
 
     __slots__ = (
@@ -337,6 +339,193 @@ class TranslationUnit:
                 jitter=jitter,
             )
         return finish, None
+
+    def admit_chain(
+        self,
+        now: float,
+        mr_keys: Sequence[Hashable],
+        offsets: Sequence[int],
+        sizes: Sequence[int],
+        gaps: Sequence[float],
+    ) -> np.ndarray:
+        """Admit a closed-loop chain of requests; returns the finish times.
+
+        Request ``j`` arrives ``gaps[j]`` ns after request ``j - 1``
+        finishes (request 0 arrives ``gaps[0]`` ns after ``now``).  The
+        unit ends in exactly the state — stats, caches, history
+        registers, bank and pipeline occupancy, ``rng`` — that ``n``
+        :meth:`admit` calls at those arrival times leave, and each
+        finish time is the same float.  The timing-free service terms
+        are computed over the whole chain; only the jitter draws (in
+        admit order) and the pipeline/bank recurrence run per request.
+        """
+        n = len(offsets)
+        if not len(mr_keys) == len(sizes) == len(gaps) == n:
+            raise ValueError("chain columns must have equal lengths")
+        if n == 0:
+            return np.empty(0)
+
+        # MR keys normalized as admit() does (mr_cache_id once per
+        # distinct key), then coded densely for the NumPy passes.
+        memo = self._mr_ids
+        ids = [key if type(key) is int
+               else memo[key] if key in memo
+               else memo.setdefault(key, mr_cache_id(key))
+               for key in mr_keys]
+        id_values, mr_code = np.unique(np.array(ids), return_inverse=True)
+        distinct_ids = id_values.tolist()
+
+        offset = np.asarray(offsets, dtype=np.int64)
+        size = np.asarray(sizes, dtype=np.int64)
+        line_bytes, seg_bytes, nbanks = (self._line_bytes, self._seg_bytes,
+                                         self._nbanks)
+        first_line = offset // line_bytes
+        spans = np.where(size > 1, (offset + size - 1) // line_bytes,
+                         first_line) - first_line
+        segment = offset // seg_bytes
+
+        # cache misses: replay every access that can change a set
+        cache_miss = np.zeros(n)
+        self._replay(self.mpt_cache, distinct_ids, mr_code, cache_miss,
+                     self._mpt_miss_ns)
+        seg_values, seg_code = np.unique(segment, return_inverse=True)
+        distinct_segs = seg_values.tolist()
+        nsegs = len(distinct_segs)
+        pairs, pair_code = np.unique(mr_code * nsegs + seg_code,
+                                     return_inverse=True)
+        self._replay(self.mtt_cache,
+                     [(distinct_ids[pair // nsegs], distinct_segs[pair % nsegs])
+                      for pair in pairs.tolist()],
+                     pair_code, cache_miss, self._mtt_miss_ns)
+
+        # history registers: request j sees request j - 1's values, and
+        # request 0 the values the unit holds now
+        def changed(values: np.ndarray) -> np.ndarray:
+            out = np.zeros(n, dtype=bool)
+            np.not_equal(values[1:], values[:-1], out=out[1:])
+            return out
+
+        first_id = ids[0]
+        mr_changed = changed(mr_code)
+        switched = mr_changed.copy()
+        switched[0] = self._last_mr is not None and first_id != self._last_mr
+        seg_missed = mr_changed | changed(segment)
+        seg_missed[0] = self._last_seg_mr is not None and (
+            first_id != self._last_seg_mr
+            or int(segment[0]) != self._last_seg_idx)
+        locked = ~(mr_changed | changed(first_line))
+        locked[0] = (first_id == self._last_line_mr
+                     and int(first_line[0]) == self._last_line_idx)
+        sub8 = (offset % 8) != 0
+        sub64 = ~sub8 & ((offset % line_bytes) != 0)
+        alignment = np.where(sub8, self._sub8_ns,
+                             np.where(sub64, self._sub64_ns, 0.0))
+
+        # the wave through a math.cos table over the distinct in-segment
+        # positions, so every value is admit()'s scalar expression
+        # (np.cos may round differently)
+        positions, position_of = np.unique(offset % seg_bytes,
+                                           return_inverse=True)
+        wave_half, two_pi = self._wave_half, self._two_pi
+        wave = np.array([
+            wave_half * (1.0 - math.cos(two_pi * (pos / seg_bytes)))
+            for pos in positions.tolist()])[position_of]
+
+        # every service term but jitter, summed in admit()'s order
+        fixed = (self._base_ns + alignment
+                 + np.where(seg_missed, self._seg_miss_ns, 0.0) + wave
+                 + np.where(switched, self._mr_switch_ns, 0.0)
+                 + np.where(locked, self._line_lock_ns, 0.0) + cache_miss)
+
+        # the banks past the first that a line-crossing request holds
+        # (nbanks - 1 of them cover every bank, so spans are capped)
+        first_bank = first_line % nbanks
+        spans = np.minimum(spans, nbanks - 1)
+        max_span = int(spans.max())
+        more_banks = np.empty((nbanks, max_span + 1), dtype=object)
+        for bank in range(nbanks):
+            for span in range(max_span + 1):
+                more_banks[bank, span] = tuple(
+                    (bank + k) % nbanks for k in range(1, span + 1))
+
+        # jitter and the pipeline/bank recurrence, in plain floats.
+        # Generator.normal(0.0, sigma) is 0.0 + sigma * standard_normal()
+        # on the same stream; the latter skips normal()'s argument
+        # broadcasting, a third of each draw's cost.
+        standard_normal, random, exponential = (
+            self.rng.standard_normal, self.rng.random, self.rng.exponential)
+        sigma, spike_prob, spike_ns = (self._jitter_sigma, self._spike_prob,
+                                       self._spike_ns)
+        floor, hold = self._jitter_floor, self._bank_hold_ns
+        bank_busy = self._bank_busy
+        pipe_busy = self._pipe_busy
+        stats = self.stats
+        bank_wait_ns, busy_ns = stats.bank_wait_ns, stats.busy_ns
+        finishes = []
+        finish = now
+        for bank, more, gap, service in zip(
+                first_bank.tolist(), more_banks[first_bank, spans].tolist(),
+                np.asarray(gaps, dtype=np.float64).tolist(), fixed.tolist()):
+            jitter = 0.0 + sigma * standard_normal()
+            if random() < spike_prob:
+                jitter += exponential(spike_ns)
+            if jitter < floor:
+                jitter = floor
+            service += jitter
+            arrival = finish + gap
+            issue_ready = arrival if arrival > pipe_busy else pipe_busy
+            bank_ready = bank_busy[bank]
+            for other in more:
+                if bank_busy[other] > bank_ready:
+                    bank_ready = bank_busy[other]
+            start = bank_ready if bank_ready > issue_ready else issue_ready
+            bank_wait_ns += start - issue_ready
+            finish = start + service
+            busy_ns += service
+            busy_until = finish + hold
+            if bank_busy[bank] < busy_until:
+                bank_busy[bank] = busy_until
+            for other in more:
+                if bank_busy[other] < busy_until:
+                    bank_busy[other] = busy_until
+            pipe_busy = finish
+            finishes.append(finish)
+
+        self._pipe_busy = pipe_busy
+        self._last_mr = self._last_seg_mr = self._last_line_mr = ids[-1]
+        self._last_seg_idx = int(segment[-1])
+        self._last_line_idx = int(first_line[-1])
+        stats.requests += n
+        stats.mr_switches += int(switched.sum())
+        stats.segment_misses += int(seg_missed.sum())
+        stats.unaligned8 += int(sub8.sum())
+        stats.unaligned64 += int(sub64.sum())
+        stats.bank_wait_ns, stats.busy_ns = bank_wait_ns, busy_ns
+        return np.asarray(finishes)
+
+    @staticmethod
+    def _replay(cache: SetAssocCache, keys: list, codes: np.ndarray,
+                cache_miss: np.ndarray, miss_ns: float) -> None:
+        """Run a chain's accesses (``keys[codes[j]]``) through ``cache``,
+        adding ``miss_ns`` to ``cache_miss`` per miss.  An access whose
+        set was last touched by the same key is an MRU re-hit that
+        changes nothing but the hit counter, so only the others go
+        through :meth:`SetAssocCache.access`."""
+        # set indices in the narrowest dtype, where the stable sort
+        # below is a radix sort
+        sets = np.array([cache.set_index(key) for key in keys],
+                        dtype=np.min_scalar_type(cache.sets))[codes]
+        order = np.argsort(sets, kind="stable")
+        sorted_sets, sorted_codes = sets[order], codes[order]
+        rehit = np.zeros(len(codes), dtype=bool)
+        rehit[order[1:]] = ((sorted_sets[1:] == sorted_sets[:-1])
+                            & (sorted_codes[1:] == sorted_codes[:-1]))
+        replay = np.flatnonzero(~rehit)
+        access = cache.access
+        for j, code in zip(replay.tolist(), codes[replay].tolist()):
+            if not access(keys[code]):
+                cache_miss[j] += miss_ns
+        cache.hits += len(codes) - len(replay)
 
     def reset_history(self) -> None:
         """Clear history registers and bank occupancy (not the caches)."""

@@ -16,9 +16,10 @@ Two capture paths:
   real Sherman victim (used for Figure 13(a) demo traces and to
   validate the fast path);
 * :class:`TraceSynthesizer` — drives the *same* ``TranslationUnit``
-  model directly, interleaving victim/attacker admissions without the
-  rest of the pipeline.  ~50x faster; used to build the
-  6720-trace classifier dataset.
+  model directly, without the rest of the pipeline: each trace's
+  interleaved victim, ambient and attacker requests are admitted as one
+  closed-loop chain (:meth:`TranslationUnit.admit_chain`).  Used to
+  build the 6720-trace classifier dataset.
 """
 
 from __future__ import annotations
@@ -83,11 +84,12 @@ class SnoopConfig:
 class TraceSynthesizer:
     """Fast trace generation at the translation-unit level.
 
-    Interleaves victim, attacker and ambient admissions into one
-    :class:`TranslationUnit` — the same stateful model the full
-    pipeline uses, so bank conflicts, line locks, alignment penalties
-    and jitter all behave identically; only the (trace-invariant)
-    constant pipeline stages are omitted.
+    Lays out each trace's victim, ambient and attacker requests as one
+    closed-loop chain and admits it into a fresh
+    :class:`TranslationUnit` with :meth:`~TranslationUnit.admit_chain` —
+    the same stateful model the full pipeline uses, so bank conflicts,
+    line locks, alignment penalties and jitter all behave identically;
+    only the (trace-invariant) constant pipeline stages are omitted.
     """
 
     def __init__(self, spec: Optional[RNICSpec] = None,
@@ -119,29 +121,43 @@ class TraceSynthesizer:
             self.spec,
             rng=np.random.default_rng(rng.integers(2**63)),
         )
-        mr_key = "shared-file"
-        now = 0.0
-        offsets = cfg.observation_offsets
-        trace = np.empty(len(offsets))
-        gap = 50.0  # attacker pacing between its own requests (ns)
-        for index, obs_offset in enumerate(offsets):
-            samples = np.empty(cfg.probes_per_point)
-            for probe in range(cfg.probes_per_point):
-                if rng.random() < cfg.victim_duty:
-                    now, _ = unit.admit(
-                        now, mr_key, file_base + victim_offset, cfg.read_size
-                    )
-                if rng.random() < cfg.ambient_rate:
-                    stray = 64 * int(rng.integers(0, 32768))
-                    now, _ = unit.admit(now, "ambient-mr", stray, cfg.read_size)
-                arrival = now + gap
-                finish, _ = unit.admit(
-                    arrival, mr_key, file_base + obs_offset, cfg.read_size
-                )
-                samples[probe] = finish - arrival
-                now = finish
-            trace[index] = samples.mean()
-        return trace
+        # One scalar pass over the trace stream draws, per probe and in
+        # request order, whether the victim's request is in flight and
+        # which line (-1: none) an ambient tenant's request reads.
+        random, integers = rng.random, rng.integers
+        duty, ambient_rate = cfg.victim_duty, cfg.ambient_rate
+        offsets = np.repeat(np.asarray(cfg.observation_offsets),
+                            cfg.probes_per_point)
+        victim_draws, stray_draws = [], []
+        for _ in range(len(offsets)):
+            victim_draws.append(random() < duty)
+            stray_draws.append(int(integers(0, 32768))
+                               if random() < ambient_rate else -1)
+        victim_in = np.array(victim_draws)
+        strays = np.array(stray_draws)
+        ambient_in = strays >= 0
+
+        # The closed-loop chain: per probe, the victim's and the ambient
+        # request (when drawn) enter back to back, then the attacker's
+        # probe after its pacing gap.
+        probe_at = np.cumsum(1 + victim_in + ambient_in) - 1
+        victim_at = (probe_at - ambient_in - 1)[victim_in]
+        ambient_at = probe_at[ambient_in] - 1
+        addresses = np.empty(probe_at[-1] + 1, dtype=np.int64)
+        addresses[probe_at] = file_base + offsets
+        addresses[victim_at] = file_base + victim_offset
+        addresses[ambient_at] = 64 * strays[ambient_in]
+        keys = ["shared-file"] * len(addresses)
+        for index in ambient_at.tolist():
+            keys[index] = "ambient-mr"
+        gaps = np.zeros(len(addresses))
+        gaps[probe_at] = 50.0  # attacker pacing between its own requests
+        finishes = unit.admit_chain(0.0, keys, addresses,
+                                    np.full(len(addresses), cfg.read_size), gaps)
+        arrivals = gaps  # request j arrives gaps[j] after j - 1 finishes
+        arrivals[1:] += finishes[:-1]
+        samples = finishes[probe_at] - arrivals[probe_at]
+        return samples.reshape(-1, cfg.probes_per_point).mean(axis=1)
 
     def _trace_rng(self, label: int, repeat: int) -> np.random.Generator:
         """The stream for one (class, repeat) trace.  Keyed on the tuple

@@ -7,9 +7,12 @@ coupling through bank occupancy.
 """
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rnic import TranslationUnit, cx5
 
@@ -211,3 +214,83 @@ class TestJitter:
         for i in range(200):
             lat, _ = service_of(unit, 64 * i)
             assert lat > 0.0
+
+
+def tiny_cache_spec(**noise):
+    """CX-5 with MPT/MTT caches small enough that a short chain evicts."""
+    return dataclasses.replace(cx5(), mpt_cache_entries=4, mpt_cache_ways=2,
+                               mtt_cache_entries=8, mtt_cache_ways=2, **noise)
+
+
+#: Noise settings for the chain parity test: the default jitter, spikes
+#: frequent enough to draw exponentials, jitter wide enough to hit the
+#: floor, and none at all.
+CHAIN_SPECS = (
+    tiny_cache_spec(),
+    tiny_cache_spec(jitter_frac=0.6, spike_prob=0.3),
+    tiny_cache_spec(jitter_frac=0.0, spike_prob=0.0),
+)
+
+_requests = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 7, -1, 2**40, "mr-a", "mr-b", "mr-c"]),
+        st.one_of(st.integers(0, 8192), st.sampled_from([60, 2040, 2047])),
+        st.sampled_from([0, 1, 64, 200]),
+        st.one_of(st.just(0.0), st.floats(0.0, 2000.0)),
+    ),
+    max_size=40)
+
+
+def unit_state(unit):
+    """Everything admit() can change, with floats compared bit for bit."""
+    def bits(value):
+        return struct.pack("<d", value)
+
+    def cache(c):
+        return ([list(entries) for entries in c._sets],
+                c.hits, c.misses, c.evictions)
+
+    stats = dataclasses.astuple(unit.stats)
+    return (stats[:-2], [bits(v) for v in stats[-2:]],
+            cache(unit.mpt_cache), cache(unit.mtt_cache),
+            unit._last_mr, unit._last_seg_mr, unit._last_seg_idx,
+            unit._last_line_mr, unit._last_line_idx, dict(unit._mr_ids),
+            [bits(v) for v in unit._bank_busy], bits(unit._pipe_busy),
+            unit.rng.bit_generator.state)
+
+
+class TestAdmitChain:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.sampled_from(CHAIN_SPECS), seed=st.integers(0, 2**32),
+           warm=_requests, chain=_requests,
+           now=st.floats(0.0, 1e5))
+    def test_chain_matches_admit_loop(self, spec, seed, warm, chain, now):
+        scalar = TranslationUnit(spec, rng=np.random.default_rng(seed))
+        chained = TranslationUnit(spec, rng=np.random.default_rng(seed))
+        for unit in (scalar, chained):
+            clock = 0.0
+            for key, offset, size, gap in warm:
+                clock, _ = unit.admit(clock + gap, key, offset, size)
+
+        expected = []
+        finish = now
+        for key, offset, size, gap in chain:
+            finish, _ = scalar.admit(finish + gap, key, offset, size)
+            expected.append(finish)
+        columns = [list(column) for column in zip(*chain)] or [[]] * 4
+        finishes = chained.admit_chain(now, *columns)
+
+        assert finishes.tobytes() == np.array(expected, dtype=float).tobytes()
+        assert unit_state(chained) == unit_state(scalar)
+
+    def test_chain_rejects_ragged_columns(self):
+        unit = TranslationUnit(tiny_cache_spec())
+        with pytest.raises(ValueError):
+            unit.admit_chain(0.0, ["a", "b"], [0], [64], [0.0])
+
+    def test_empty_chain_changes_nothing(self):
+        unit = TranslationUnit(tiny_cache_spec(), rng=np.random.default_rng(1))
+        unit.admit(0.0, "mr", 64, 64)
+        before = unit_state(unit)
+        assert unit.admit_chain(5.0, [], [], [], []).shape == (0,)
+        assert unit_state(unit) == before

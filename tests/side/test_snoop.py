@@ -84,7 +84,7 @@ class TestSynthesizer:
     def test_traces_reproducible(self):
         a = TraceSynthesizer(seed=5).trace(128)
         b = TraceSynthesizer(seed=5).trace(128)
-        np.testing.assert_allclose(a, b)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestParallelSynthesis:

@@ -63,7 +63,13 @@
 #                      defense-service fleet-ingest regression; each
 #                      run is archived to benchmarks/history/ for
 #                      report trend lines
-#  14. pytest tier-1 — BLOCKING: the full unit/integration suite
+#  14. perfbench     — BLOCKING (skipped under --fast): the repo
+#                      benchmark's self-tests (perfbench/tests): every
+#                      workload's output digests at tiny scale, the
+#                      traced-vs-untraced observer-effect guards (the
+#                      traced snoop-fig13 run wraps the translation
+#                      unit's public methods), and the result schema
+#  15. pytest tier-1 — BLOCKING: the full unit/integration suite
 set -u
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -162,6 +168,13 @@ grep -q '## SLO compliance' "$slo_out/run.report.md" \
 
 echo "== simulator benchmark gate (blocking) =="
 python tools/bench_gate.py --run-id "$(date -u +%Y%m%dT%H%M%SZ)" || fail=1
+
+if [ "$fast" -eq 1 ]; then
+    echo "== perfbench self-tests: skipped (--fast) =="
+else
+    echo "== perfbench self-tests (blocking) =="
+    python3 -m pytest perfbench/tests -q || fail=1
+fi
 
 if [ "$fast" -eq 0 ]; then
     echo "== pytest tier-1 (blocking) =="
