@@ -34,15 +34,14 @@ recorded outputs still verify, so a killed sweep continues where it
 stopped and ends byte-identical to an uninterrupted run (see
 docs/RUNTIME.md).
 
-``--fleet-metrics`` (implied by ``--slo``) turns on the fleet
-telemetry plane: supervised workers stream metric deltas live over a
-dedicated pipe (progress lines + ``fleet_snapshots.jsonl`` as the run
-happens), and after the batch the canonical merged view is rebuilt
-deterministically from the per-task ``<name>.metrics.json`` files —
-``fleet_metrics.json`` plus, with ``--slo <spec.json>``, an evaluated
-``slo_report.json`` with burn-rate alerts (docs/OBSERVABILITY.md,
-"Fleet telemetry & SLOs").  Canonical artifacts are byte-identical
-between serial and ``--jobs`` runs of the same seed.
+``--fleet-metrics`` (implied by ``--slo``) merges the fleet view after
+the batch: the per-task ``<name>.metrics.json`` files are folded in
+sorted task order into ``fleet_metrics.json`` and
+``fleet_snapshots.jsonl`` plus, with ``--slo <spec.json>``, an
+evaluated ``slo_report.json`` with burn-rate alerts
+(docs/OBSERVABILITY.md, "Fleet telemetry & SLOs").  Serial and
+``--jobs`` runs take this same path, so their fleet artifacts are
+byte-identical for one seed.
 """
 
 from __future__ import annotations
@@ -59,12 +58,7 @@ from repro.experiments.runner import (  # noqa: F401  (REGISTRY/FULL_SCALE re-ex
     _invoke,
     run_task,
 )
-from repro.obs.fleet import (
-    FleetAggregator,
-    SloSpecError,
-    load_spec,
-    write_fleet_artifacts,
-)
+from repro.obs.fleet import SloSpecError, load_spec, write_fleet_artifacts
 from repro.runtime import (
     ManifestConfigMismatch,
     RetryPolicy,
@@ -173,18 +167,12 @@ def _outcome_of(result: TaskResult) -> TaskOutcome:
 
 def _run_supervised(names: list[str], args, manifest: RunManifest,
                     failures: dict[str, str],
-                    skipped: list[str], spec=None) -> None:
+                    skipped: list[str]) -> None:
     """The worker-process path: the supervised runtime with heartbeat
     liveness, deadlines, supervisor-level deterministic retry, and the
     circuit breaker.  Workers fall back to the module REGISTRY (a
     monkeypatched registry of local functions would not survive
-    pickling — same constraint the old pool had).
-
-    With ``--fleet-metrics`` a live :class:`FleetAggregator` rides the
-    supervisor's telemetry pipes: streaming ``fleet_snapshots.jsonl``,
-    stderr progress lines, and immediate burn-rate alerts when ``spec``
-    is given.  The canonical artifacts are rewritten deterministically
-    afterwards by :func:`_finalize_fleet`."""
+    pickling — same constraint the old pool had)."""
     specs = [
         TaskSpec(name=name, fn=run_task,
                  args=(name, args.seed, args.smoke, args.full, 0, args.out),
@@ -224,33 +212,19 @@ def _run_supervised(names: list[str], args, manifest: RunManifest,
             _report(buffered.pop(next_slot), args.out, failures)
             next_slot += 1
 
-    aggregator = None
-    telemetry = None
-    if args.fleet_metrics:
-        live_path = pathlib.Path(args.out) / "fleet_snapshots.jsonl"
-        aggregator = FleetAggregator(
-            tasks=names, live_path=live_path, spec=spec,
-            progress=lambda line: print(line, file=sys.stderr))
-        telemetry = aggregator.sink
-    try:
-        supervisor.run(specs,
-                       result_failure=lambda outcome: outcome.failure,
-                       on_complete=on_complete,
-                       telemetry=telemetry)
-    finally:
-        if aggregator is not None:
-            aggregator.close()
+    supervisor.run(specs,
+                   result_failure=lambda outcome: outcome.failure,
+                   on_complete=on_complete)
     # flush any outcomes stranded behind circuit-breaker skips
     for slot in sorted(buffered):
         _report(buffered.pop(slot), args.out, failures)
 
 
 def _finalize_fleet(out: str, all_names: list[str], spec) -> None:
-    """The canonical post-batch fleet pass: rebuild the merged fleet
-    artifacts deterministically from the committed per-task
-    ``<name>.metrics.json`` files (sorted task order), overwriting any
-    timing-shaped live stream — so serial, ``--jobs``, and ``--resume``
-    runs of one seed end byte-identical."""
+    """The post-batch fleet pass: build the merged fleet artifacts from
+    the committed per-task ``<name>.metrics.json`` files (sorted task
+    order) — so serial, ``--jobs``, and ``--resume`` runs of one seed
+    end byte-identical."""
     result = write_fleet_artifacts(out, all_names, spec=spec)
     if result is None:
         print("[fleet: no per-task metrics found; nothing to merge]",
@@ -338,10 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fleet-metrics", action="store_true",
                         help="merge every experiment's metrics into a "
                              "deterministic fleet_metrics.json + "
-                             "fleet_snapshots.jsonl (implies --metrics); "
-                             "supervised runs additionally stream the "
-                             "fleet view live over worker telemetry "
-                             "pipes")
+                             "fleet_snapshots.jsonl after the batch "
+                             "(implies --metrics); serial and --jobs "
+                             "runs produce the same bytes")
     parser.add_argument("--slo", type=pathlib.Path, default=None,
                         metavar="SPEC",
                         help="evaluate an SLO spec (JSON, see "
@@ -425,8 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     if names and not supervised:
         _run_serial(names, args, manifest, failures, skipped)
     elif names:
-        _run_supervised(names, args, manifest, failures, skipped,
-                        spec=spec)
+        _run_supervised(names, args, manifest, failures, skipped)
 
     if args.fleet_metrics:
         _finalize_fleet(args.out, all_names, spec)

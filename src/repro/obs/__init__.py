@@ -11,10 +11,9 @@ Three pieces, assembled by :mod:`repro.obs.runtime`:
 * :mod:`repro.obs.insight` — the analysis layer over exported
   artifacts: :class:`TraceFrame` indexing, ``python -m repro.obs
   report`` and ``python -m repro.obs diff``.
-* :mod:`repro.obs.fleet` — the cross-process telemetry plane: live
-  metric-delta streaming from supervised workers, deterministic fleet
-  snapshot merging, and the declarative SLO engine with burn-rate
-  alerting behind ``--slo`` / ``python -m repro.obs slo``.
+* :mod:`repro.obs.fleet` — the fleet view: deterministic merging of
+  per-task metrics snapshots, and the declarative SLO engine with
+  burn-rate alerting behind ``--slo`` / ``python -m repro.obs slo``.
 
 Everything is disabled by default; ``install(trace=..., metrics=...)``
 turns it on for the current process (the experiments CLI does this for
@@ -34,14 +33,12 @@ from .exporters import (
     write_metrics_json,
 )
 from .fleet import (
-    FleetAggregator,
     SloEngine,
     SloSpec,
     SloSpecError,
     evaluate_snapshots,
     load_spec,
     merge_snapshots,
-    snapshot_delta,
     write_fleet_artifacts,
 )
 from .insight import DiffResult, TraceFrame, diff_runs, render_report
@@ -62,7 +59,6 @@ from .tracer import TraceEvent, Tracer
 __all__ = [
     "Counter",
     "DiffResult",
-    "FleetAggregator",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -84,7 +80,6 @@ __all__ = [
     "register_rnic",
     "registry",
     "session",
-    "snapshot_delta",
     "tracer_for",
     "uninstall",
     "validate_chrome_trace",

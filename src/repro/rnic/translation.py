@@ -185,30 +185,6 @@ class TranslationUnit:
     # ------------------------------------------------------------------
     # Latency components
     # ------------------------------------------------------------------
-    def _alignment_penalty(self, offset: int) -> float:
-        if offset % 8:
-            self.stats.unaligned8 += 1
-            return self.spec.tpu_sub8_penalty_ns
-        if offset % self.spec.tpu_line_bytes:
-            self.stats.unaligned64 += 1
-            return self.spec.tpu_sub64_penalty_ns
-        return 0.0
-
-    def _wave(self, offset: int) -> float:
-        """Deterministic in-segment component with 2048 B period.
-
-        A raised-cosine bump: descriptor lookups near the middle of a
-        segment walk further from the segment base."""
-        pos = (offset % self.spec.tpu_segment_bytes) / self.spec.tpu_segment_bytes
-        return self.spec.tpu_segment_wave_ns * 0.5 * (1.0 - math.cos(2.0 * math.pi * pos))
-
-    def _jitter(self) -> float:
-        spec = self.spec
-        jitter = float(self.rng.normal(0.0, spec.jitter_frac * spec.tpu_base_ns))
-        if self.rng.random() < spec.spike_prob:
-            jitter += float(self.rng.exponential(spec.spike_ns))
-        return max(jitter, -0.5 * spec.tpu_base_ns)
-
     # ------------------------------------------------------------------
     # The unit itself
     # ------------------------------------------------------------------

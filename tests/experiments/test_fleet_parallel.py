@@ -1,25 +1,56 @@
-"""Serial vs ``--jobs N`` equivalence of the fleet telemetry plane.
+"""Serial vs ``--jobs N`` equivalence of the fleet view.
 
-The live stream is timing-shaped, but the *canonical* fleet artifacts
-(``fleet_metrics.json``, the rewritten ``fleet_snapshots.jsonl``,
-``slo_report.json``) are rebuilt post-batch from the committed per-task
+The fleet artifacts (``fleet_metrics.json``, ``fleet_snapshots.jsonl``,
+``slo_report.json``) are built post-batch from the committed per-task
 metrics in sorted task order — so a serial run, a ``--jobs`` run, and a
 rerun of either must agree byte-for-byte.  The faults experiment's
 injected retransmits/RNR-NAKs are the demonstrably-firing burn-rate
 alert the SLO acceptance demands.
 """
 
+import contextlib
+import io
 import json
 import pathlib
 
+import pytest
+
 from repro.experiments.__main__ import main
 from repro.obs.__main__ import main as obs_main
+from repro.obs.fleet import merge_snapshots
 
 SPEC = str(pathlib.Path(__file__).resolve().parents[2]
            / "examples" / "slo_spec.json")
 EXPERIMENTS = ["table5", "faults", "--smoke"]
 FLEET_ARTIFACTS = ("fleet_metrics.json", "fleet_snapshots.jsonl",
                    "slo_report.json")
+
+
+#: --fleet-metrics without --slo, run serially and supervised; two
+#: experiments, since a single name under --jobs 2 runs serially.
+NO_SLO_MODES = {"serial": [], "jobs2": ["--jobs", "2"]}
+
+
+@pytest.fixture(scope="module")
+def no_slo_runs(tmp_path_factory):
+    """Run each :data:`NO_SLO_MODES` batch once per module; returns
+    ``(out_dir, stderr)``."""
+    runs: dict = {}
+
+    def run(mode):
+        if mode not in runs:
+            out = tmp_path_factory.mktemp(f"no-slo-{mode}")
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                status = main(["table5", "table1", "--smoke",
+                               *NO_SLO_MODES[mode], "--fleet-metrics",
+                               "--out", str(out)])
+            assert status == 0
+            runs[mode] = (out, stderr.getvalue())
+        return runs[mode]
+
+    return run
 
 
 def _fleet_bytes(path) -> dict:
@@ -49,17 +80,20 @@ class TestFleetParallel:
         fired = {alert["objective"] for alert in report["alerts"]}
         assert "wire-errors" in fired
 
-    def test_fleet_metrics_without_slo(self, tmp_path, capsys):
-        assert main(["table5", "--smoke", "--fleet-metrics",
-                     "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        merged = json.loads((tmp_path / "fleet_metrics.json").read_text())
-        per_task = json.loads(
-            (tmp_path / "table5.metrics.json").read_text())
-        # one task: the merge is that task's snapshot verbatim
-        assert merged == per_task
-        assert (tmp_path / "fleet_snapshots.jsonl").exists()
-        assert not (tmp_path / "slo_report.json").exists()
+    @pytest.mark.parametrize("mode", sorted(NO_SLO_MODES))
+    def test_fleet_metrics_without_slo(self, mode, no_slo_runs):
+        out, stderr = no_slo_runs(mode)
+        assert "[fleet: merged 2 task(s)" in stderr
+        assert not (out / "slo_report.json").exists()
+        merged = json.loads((out / "fleet_metrics.json").read_text())
+        assert merged == merge_snapshots(
+            json.loads((out / f"{name}.metrics.json").read_text())
+            for name in ("table1", "table5"))
+        # serial and --jobs 2 build the fleet view by the same pass
+        reference, _ = no_slo_runs("serial")
+        for name in ("fleet_metrics.json", "fleet_snapshots.jsonl"):
+            assert (out / name).read_bytes() \
+                == (reference / name).read_bytes()
 
     def test_obs_slo_reevaluation_matches_run_report(self, tmp_path,
                                                      capsys):
