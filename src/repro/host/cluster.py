@@ -239,3 +239,14 @@ class Cluster:
     def run_for(self, duration_ns: float) -> None:
         """Advance the simulation by ``duration_ns``."""
         self.sim.run(until=self.sim.now + duration_ns)
+
+    def close(self) -> None:
+        """Release every host's memory.  The cluster is unusable after."""
+        for host in self.hosts.values():
+            host.memory.close()
+
+    def __enter__(self) -> "Cluster":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -34,6 +34,12 @@ class HostMemory:
         self._data = mmap.mmap(-1, size)
         self._next = base
 
+    def close(self) -> None:
+        """Unmap the backing pages; any later access raises ValueError.
+        A discarded cluster is a reference cycle, so without this its
+        touched pages stay resident until a full garbage collection."""
+        self._data.close()
+
     @property
     def end(self) -> int:
         return self.base + self.size

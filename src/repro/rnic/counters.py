@@ -12,6 +12,7 @@ import dataclasses
 from collections import defaultdict
 
 from repro.verbs.enums import Opcode
+from repro.verbs.qp import NUM_TRAFFIC_CLASSES
 
 
 @dataclasses.dataclass
@@ -21,20 +22,22 @@ class DirectionCounters:
     bytes: int = 0
     packets: int = 0
 
-    def record(self, nbytes: int, npackets: int = 1) -> None:
-        self.bytes += nbytes
-        self.packets += npackets
-
 
 class NICCounters:
-    """Aggregate, per-traffic-class, and per-opcode counters."""
+    """Aggregate, per-traffic-class, and per-opcode counters.
 
-    def __init__(self, num_traffic_classes: int = 8) -> None:
-        self.num_traffic_classes = num_traffic_classes
+    The RNIC pipeline bumps these fields inline, once per frame (see
+    :mod:`repro.rnic.rnic`); the traffic class it indexes by was
+    validated against :data:`~repro.verbs.qp.NUM_TRAFFIC_CLASSES` when
+    the QP was created.
+    """
+
+    def __init__(self) -> None:
+        self.num_traffic_classes = NUM_TRAFFIC_CLASSES
         self.tx = DirectionCounters()
         self.rx = DirectionCounters()
-        self.tx_per_tc = [DirectionCounters() for _ in range(num_traffic_classes)]
-        self.rx_per_tc = [DirectionCounters() for _ in range(num_traffic_classes)]
+        self.tx_per_tc = [DirectionCounters() for _ in range(NUM_TRAFFIC_CLASSES)]
+        self.rx_per_tc = [DirectionCounters() for _ in range(NUM_TRAFFIC_CLASSES)]
         self.per_opcode: dict[Opcode, int] = defaultdict(int)
         #: RC retransmissions of any kind (timeout- or NAK-driven);
         #: ethtool's aggregate transport retry counter.
@@ -51,23 +54,6 @@ class NICCounters:
         #: PFC pause windows honoured by the wire-Tx port (a pause
         #: storm shows up here long before throughput collapses).
         self.pause_events = 0
-
-    def _check_tc(self, tc: int) -> int:
-        if not 0 <= tc < self.num_traffic_classes:
-            raise ValueError(
-                f"traffic class {tc} out of range 0..{self.num_traffic_classes - 1}"
-            )
-        return tc
-
-    def record_tx(self, nbytes: int, tc: int = 0, opcode: Opcode | None = None) -> None:
-        self.tx.record(nbytes)
-        self.tx_per_tc[self._check_tc(tc)].record(nbytes)
-        if opcode is not None:
-            self.per_opcode[opcode] += 1
-
-    def record_rx(self, nbytes: int, tc: int = 0) -> None:
-        self.rx.record(nbytes)
-        self.rx_per_tc[self._check_tc(tc)].record(nbytes)
 
     def snapshot(self) -> dict:
         """A flat dict of totals, shaped like ``ethtool -S`` output."""

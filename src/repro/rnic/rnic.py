@@ -16,6 +16,14 @@ Stages 5–8 run on the *responder's* stations, which both clients of a
 server share — that shared occupancy is the volatile channel.  Bulk
 fluid flows (see :mod:`repro.rnic.bandwidth`) additionally load the
 stations via background utilization.
+
+Each posted WQE is one slotted :class:`_Wqe` record whose stage methods
+the kernel fires as bound methods: no per-message closures, so a
+finished message leaves no reference cycle behind.  The stages keep
+their historical dispatch labels (``RNIC.post_send.<locals>.stage_*``),
+which trace artifacts and determinism digests carry.  NIC counters are
+bumped inline in the wire and receive stages; the traffic class they
+index is validated once, when the QP is created.
 """
 
 from __future__ import annotations
@@ -80,6 +88,7 @@ class RNIC(Engine):
         # installs it before the experiment constructs its cluster);
         # every stage emission below is guarded by one `is not None`
         self._obs = _obs.tracer_for(sim)
+        self._component = f"rnic.{name}"
         self._wqe_seq = 0
         _obs.register_rnic(self)
 
@@ -103,15 +112,6 @@ class RNIC(Engine):
             return False
         return self.network.frame_lost(src, dst, self.sim.now, self._loss_rng)
 
-    def _packets(self, payload: int) -> int:
-        return max(1, (payload + MTU - 1) // MTU)
-
-    def _wire_ns(self, payload: int) -> float:
-        """Serialization time of a message including per-packet headers."""
-        npkt = self._packets(payload)
-        total_bytes = payload + npkt * self.spec.header_bytes
-        return bytes_to_bits(total_bytes) * SECONDS / self.spec.line_rate_bps
-
     def post_send_batch(self, qp: "QueuePair", wrs: list[SendWR]) -> None:
         """Doorbell batching: one MMIO doorbell launches the whole WQE
         list; every WQE then runs the per-message pipeline below."""
@@ -122,256 +122,16 @@ class RNIC(Engine):
                   _ring_doorbell: bool = True) -> None:
         """Launch the WQE through the discrete pipeline."""
         sim = self.sim
-        spec = self.spec
         wr.post_time = sim.now
         remote_qp = resolve_remote_qp(qp, wr)
-        responder: RNIC = remote_qp.context.engine  # type: ignore[assignment]
+        responder = remote_qp.context.engine
         if not isinstance(responder, RNIC):
             raise TypeError(
                 "remote QP's context is not backed by an RNIC engine"
             )
-        tc = qp.traffic_class
-        request_payload = wr.wire_request_bytes
-        response_payload = wr.wire_response_bytes
-        rspec = responder.spec
-        # wire geometry is fixed per message — compute it once here
-        # instead of once per stage (these matched _packets/_wire_ns
-        # call pairs showed up in end-to-end profiles)
-        req_npkt = self._packets(request_payload)
-        req_nbytes = request_payload + req_npkt * spec.header_bytes
-        req_wire_ns = bytes_to_bits(req_nbytes) * SECONDS / spec.line_rate_bps
-        resp_npkt = self._packets(response_payload)
-        resp_nbytes = response_payload + resp_npkt * rspec.header_bytes
-        resp_wire_ns = (
-            bytes_to_bits(resp_nbytes) * SECONDS / rspec.line_rate_bps
-        )
-        fetch_occupancy = spec.pcie.dma_occupancy_ns(64 + request_payload)
-
-        obs = self._obs
-        robs = responder._obs
-        comp = f"rnic.{self.name}"
-        rcomp = f"rnic.{responder.name}"
-        wqe = 0
-        if obs is not None:
-            self._wqe_seq += 1
-            wqe = self._wqe_seq
-            obs.instant(f"{self.name}.post", category="rnic",
-                        component=comp, ts=sim.now, wqe=wqe,
-                        opcode=wr.opcode.name, length=wr.length)
-
-        # resolve the remote MR geometry once; protection is enforced by
-        # execute_data_movement at the data stage
-        mr_key = wr.rkey
-        offset = 0
-        if wr.opcode.is_one_sided:
-            try:
-                mr = remote_qp.context.mr_by_rkey(wr.rkey)
-                offset = wr.remote_addr - mr.addr
-            except RemoteAccessError:
-                offset = 0
-
-        # reliability state: RC retries on frame loss; the responder's
-        # duplicate detection makes re-executed operations idempotent
-        # (crucial for atomics), modelled by caching the first
-        # execution's status.  The ACK-timeout budget (retry_count) and
-        # the RNR budget (rnr_retry) are separate, as in ibv_modify_qp.
-        attempts = [0]
-        rnr_attempts = [0]
-        executed_status: list[Optional[WCStatus]] = [None]
-
-        def stage_retry() -> None:
-            if wr.flushed:
-                return
-            attempts[0] += 1
-            if attempts[0] > spec.retry_count:
-                qp.complete_send(wr, WCStatus.RETRY_EXC_ERR, sim.now)
-                return
-            self.counters.retransmits += 1
-            self.counters.timeouts += 1
-            stage_fetch()
-
-        def stage_fetch() -> None:
-            if wr.flushed:
-                return
-            # WQE fetch (64 B) plus gather of any request payload: the
-            # DMA engine is occupied for the transfer, and the message
-            # additionally waits out the fixed TLP round-trip latency.
-            # Congestion from bulk flows stretches both: the engine by
-            # the M/G/1 inflation, the round trip by queueing at the
-            # root complex (modelled as 1 + utilization).
-            #
-            # Inline posts are the classic fast path: the CPU writes
-            # WQE+payload through MMIO (a posted write), so there is no
-            # DMA read round trip at all.
-            finish = self.pcie.admit(sim.now, fetch_occupancy)
-            if obs is not None:
-                obs.span("pcie.fetch", sim.now, finish - sim.now,
-                         category="rnic", component=comp, wqe=wqe)
-            if wr.inline:
-                sim.schedule_at(finish, stage_txpu)
-                return
-            congestion = 1.0 + self.pcie.background_utilization
-            round_trip = spec.pcie.tlp_latency_ns * congestion
-            sim.schedule_at(finish + round_trip, stage_txpu)
-
-        def stage_txpu() -> None:
-            finish = self.txpu.admit(sim.now, spec.txpu_ns)
-            if obs is not None:
-                obs.span("txpu", sim.now, finish - sim.now,
-                         category="rnic", component=comp, wqe=wqe)
-            sim.schedule_at(finish, stage_wire_out)
-
-        def stage_wire_out() -> None:
-            finish = self.wire_tx.admit(sim.now, req_wire_ns)
-            if obs is not None:
-                obs.span("wire.request", sim.now, finish - sim.now,
-                         category="rnic", component=comp, wqe=wqe,
-                         nbytes=req_nbytes)
-            self.counters.record_tx(req_nbytes, tc=tc, opcode=wr.opcode)
-            if not qp.qp_type.acks_requests and not wr.opcode.response_carries_payload:
-                # unreliable transports are fire-and-forget: the local
-                # completion fires at send time; a lost frame silently
-                # drops the remote effect
-                sim.schedule_at(finish, stage_complete, WCStatus.SUCCESS)
-                if self._frame_lost(self, responder):
-                    return
-                sim.schedule_at(
-                    finish + self._transit_ns(responder), stage_responder_rx
-                )
-                return
-            if self._frame_lost(self, responder):
-                # request frame lost: the RC retransmission timer fires
-                sim.schedule_at(finish + spec.retry_timeout_ns, stage_retry)
-                return
-            sim.schedule_at(finish + self._transit_ns(responder), stage_responder_rx)
-
-        def stage_responder_rx() -> None:
-            responder.counters.record_rx(req_nbytes, tc=tc)
-            finish = responder.rxpu.admit(sim.now, rspec.rxpu_ns)
-            if robs is not None:
-                robs.span("rxpu", sim.now, finish - sim.now,
-                          category="rnic", component=rcomp, wqe=wqe)
-            sim.schedule_at(finish, stage_translate)
-
-        def stage_translate() -> None:
-            if wr.opcode.is_one_sided:
-                finish, _ = responder.translation.admit(
-                    sim.now, mr_key, offset, wr.length
-                )
-                if robs is not None:
-                    robs.span("translate", sim.now, finish - sim.now,
-                              category="rnic", component=rcomp, wqe=wqe)
-            else:
-                finish = sim.now
-            sim.schedule_at(finish, stage_data)
-
-        def stage_rnr_nak(nak_arrival: float) -> None:
-            """Responder answered Receiver-Not-Ready: back off
-            min_rnr_timer and resend, on the separate rnr_retry budget."""
-            rnr_attempts[0] += 1
-            self.counters.rnr_naks += 1
-            if rnr_attempts[0] > spec.rnr_retry:
-                sim.schedule_at(nak_arrival, stage_complete,
-                                WCStatus.RNR_RETRY_EXC_ERR)
-                return
-            self.counters.retransmits += 1
-            sim.schedule_at(nak_arrival + spec.min_rnr_timer_ns, stage_fetch)
-
-        def stage_data() -> None:
-            if wr.flushed:
-                return
-            if executed_status[0] is None:
-                first_status = execute_data_movement(qp, wr)
-                if (first_status is WCStatus.RNR_RETRY_EXC_ERR
-                        and qp.qp_type.acks_requests):
-                    # the RNR NAK rides the responder's TxPU and the
-                    # return path like any response frame (NAK loss is
-                    # not modelled: a lost NAK would fall back to the
-                    # slower ACK-timeout retry, same outcome later)
-                    finish = responder.txpu.admit(
-                        sim.now, rspec.txpu_ns
-                    )
-                    stage_rnr_nak(finish + responder._transit_ns(self))
-                    return
-                executed_status[0] = first_status
-            status = executed_status[0]
-            if wr.opcode.is_atomic:
-                dma_bytes = 16  # 8 B read + 8 B write
-            else:
-                dma_bytes = wr.length
-            pcie = rspec.pcie
-            finish = responder.pcie.admit(sim.now, pcie.dma_occupancy_ns(dma_bytes))
-            if robs is not None:
-                robs.span("pcie.data", sim.now, finish - sim.now,
-                          category="rnic", component=rcomp, wqe=wqe,
-                          nbytes=dma_bytes)
-            # host-read DMAs (read/atomic responses) wait the TLP
-            # round trip — stretched by congestion; posted writes
-            # complete at the engine
-            if wr.opcode.response_carries_payload or wr.opcode.is_atomic:
-                round_trip = pcie.tlp_latency_ns * (
-                    1.0 + responder.pcie.background_utilization
-                )
-                if rspec.ddio_enabled:
-                    # DMA from the LLC when resident, bimodal otherwise
-                    rng = responder._ddio_rng
-                    if rng.random() < rspec.ddio_hit_rate:
-                        round_trip -= rspec.ddio_saving_ns
-                    else:
-                        round_trip += rspec.ddio_miss_penalty_ns
-                finish += round_trip
-            if not qp.qp_type.acks_requests and not wr.opcode.response_carries_payload:
-                # unreliable transports: no response flow, and the local
-                # completion already fired at send time
-                return
-            sim.schedule_at(finish, stage_response, status)
-
-        def stage_response(status: WCStatus) -> None:
-            finish = responder.txpu.admit(sim.now, rspec.txpu_ns)
-            if robs is not None:
-                robs.span("txpu.response", sim.now, finish - sim.now,
-                          category="rnic", component=rcomp, wqe=wqe)
-            sim.schedule_at(finish, stage_wire_back, status)
-
-        def stage_wire_back(status: WCStatus) -> None:
-            finish = responder.wire_tx.admit(sim.now, resp_wire_ns)
-            if robs is not None:
-                robs.span("wire.response", sim.now, finish - sim.now,
-                          category="rnic", component=rcomp, wqe=wqe,
-                          nbytes=resp_nbytes)
-            responder.counters.record_tx(resp_nbytes, tc=tc)
-            if self._frame_lost(responder, self):
-                # ACK/response frame lost: requester times out and
-                # resends; the responder's replay cache answers without
-                # re-executing
-                sim.schedule_at(finish + spec.retry_timeout_ns, stage_retry)
-                return
-            sim.schedule_at(
-                finish + responder._transit_ns(self), stage_requester_rx, status
-            )
-
-        def stage_requester_rx(status: WCStatus) -> None:
-            # the frames on the wire were built by the *responder*, so
-            # the byte count uses the responder's header geometry (it
-            # must mirror stage_wire_back's record_tx exactly)
-            self.counters.record_rx(resp_nbytes, tc=tc)
-            finish = self.rxpu.admit(sim.now, spec.rxpu_ns)
-            cqe = self.pcie.admit(finish, spec.cqe_write_ns)
-            if obs is not None:
-                obs.span("rxpu.cqe", sim.now, cqe - sim.now,
-                         category="rnic", component=comp, wqe=wqe)
-            sim.schedule_at(cqe, stage_complete, status)
-
-        def stage_complete(status: WCStatus) -> None:
-            if wr.flushed:
-                return
-            if obs is not None:
-                obs.span("wqe", wr.post_time, sim.now - wr.post_time,
-                         category="rnic", component=comp, wqe=wqe,
-                         status=status.name)
-            qp.complete_send(wr, status, sim.now)
-
-        sim.schedule(spec.doorbell_ns if _ring_doorbell else 0.0, stage_fetch)
+        w = _Wqe(self, responder, qp, remote_qp, wr)
+        sim.schedule(self.spec.doorbell_ns if _ring_doorbell else 0.0,
+                     w.stage_fetch)
 
     # ------------------------------------------------------------------
     # Fluid-flow layer
@@ -427,3 +187,370 @@ class RNIC(Engine):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<RNIC {self.name} spec={self.spec.name}>"
+
+
+class _Wqe:
+    """One posted WQE on its walk through the pipeline stages.
+
+    The record holds everything the message needs from post to
+    completion; each stage is a method that the kernel fires as a bound
+    method and that schedules the next one.  The event queue is then
+    the only holder of the record, so a finished message is freed by
+    reference counting and leaves no cycle for the garbage collector.
+
+    Reliability state: RC retries on frame loss; the responder's
+    duplicate detection makes re-executed operations idempotent
+    (crucial for atomics), modelled by caching the first execution's
+    status.  The ACK-timeout budget (``retry_count``) and the RNR
+    budget (``rnr_retry``) are separate, as in ``ibv_modify_qp``.
+    """
+
+    __slots__ = (
+        "nic", "responder", "sim", "qp", "wr", "tc", "unacked",
+        "req_nbytes", "req_wire_ns", "resp_nbytes", "resp_wire_ns",
+        "fetch_occupancy", "obs", "robs", "wqe", "mr_key", "offset",
+        "attempts", "rnr_attempts", "executed_status",
+    )
+
+    def __init__(self, nic: RNIC, responder: RNIC, qp: "QueuePair",
+                 remote_qp: "QueuePair", wr: SendWR) -> None:
+        self.nic = nic
+        self.responder = responder
+        self.sim = sim = nic.sim
+        self.qp = qp
+        self.wr = wr
+        self.tc = qp.traffic_class
+        opcode = wr.opcode
+        # unreliable transports are fire-and-forget unless the
+        # response itself carries the payload
+        self.unacked = (not qp.qp_type.acks_requests
+                        and not opcode.response_carries_payload)
+        # wire geometry is fixed per message: computed once here
+        spec = nic.spec
+        rspec = responder.spec
+        request_payload = wr.wire_request_bytes
+        response_payload = wr.wire_response_bytes
+        req_npkt = max(1, (request_payload + MTU - 1) // MTU)
+        self.req_nbytes = req_nbytes = (
+            request_payload + req_npkt * spec.header_bytes)
+        self.req_wire_ns = (
+            bytes_to_bits(req_nbytes) * SECONDS / spec.line_rate_bps)
+        resp_npkt = max(1, (response_payload + MTU - 1) // MTU)
+        self.resp_nbytes = resp_nbytes = (
+            response_payload + resp_npkt * rspec.header_bytes)
+        self.resp_wire_ns = (
+            bytes_to_bits(resp_nbytes) * SECONDS / rspec.line_rate_bps)
+        self.fetch_occupancy = spec.pcie.dma_occupancy_ns(64 + request_payload)
+
+        self.obs = obs = nic._obs
+        self.robs = responder._obs
+        self.wqe = 0
+        if obs is not None:
+            nic._wqe_seq += 1
+            self.wqe = nic._wqe_seq
+            obs.instant(f"{nic.name}.post", category="rnic",
+                        component=nic._component, ts=sim.now, wqe=self.wqe,
+                        opcode=opcode.name, length=wr.length)
+
+        # resolve the remote MR geometry once; protection is enforced by
+        # execute_data_movement at the data stage
+        self.mr_key = wr.rkey
+        self.offset = 0
+        if opcode.is_one_sided:
+            try:
+                mr = remote_qp.context.mr_by_rkey(wr.rkey)
+                self.offset = wr.remote_addr - mr.addr
+            except RemoteAccessError:
+                pass
+        self.attempts = 0
+        self.rnr_attempts = 0
+        self.executed_status: Optional[WCStatus] = None
+
+    def stage_retry(self) -> None:
+        wr = self.wr
+        if wr.flushed:
+            return
+        self.attempts += 1
+        nic = self.nic
+        if self.attempts > nic.spec.retry_count:
+            self.qp.complete_send(wr, WCStatus.RETRY_EXC_ERR, self.sim.now)
+            return
+        counters = nic.counters
+        counters.retransmits += 1
+        counters.timeouts += 1
+        self.stage_fetch()
+
+    def stage_fetch(self) -> None:
+        wr = self.wr
+        if wr.flushed:
+            return
+        # WQE fetch (64 B) plus gather of any request payload: the DMA
+        # engine is occupied for the transfer, and the message
+        # additionally waits out the fixed TLP round-trip latency.
+        # Congestion from bulk flows stretches both: the engine by the
+        # M/G/1 inflation, the round trip by queueing at the root
+        # complex (modelled as 1 + utilization).
+        #
+        # Inline posts are the classic fast path: the CPU writes
+        # WQE+payload through MMIO (a posted write), so there is no DMA
+        # read round trip at all.
+        nic = self.nic
+        sim = self.sim
+        now = sim.now
+        pcie = nic.pcie
+        finish = pcie.admit(now, self.fetch_occupancy)
+        obs = self.obs
+        if obs is not None:
+            obs.span("pcie.fetch", now, finish - now, category="rnic",
+                     component=nic._component, wqe=self.wqe)
+        if wr.inline:
+            sim.schedule_at(finish, self.stage_txpu)
+            return
+        congestion = 1.0 + pcie.background_utilization
+        round_trip = nic.spec.pcie.tlp_latency_ns * congestion
+        sim.schedule_at(finish + round_trip, self.stage_txpu)
+
+    def stage_txpu(self) -> None:
+        nic = self.nic
+        sim = self.sim
+        now = sim.now
+        finish = nic.txpu.admit(now, nic.spec.txpu_ns)
+        obs = self.obs
+        if obs is not None:
+            obs.span("txpu", now, finish - now, category="rnic",
+                     component=nic._component, wqe=self.wqe)
+        sim.schedule_at(finish, self.stage_wire_out)
+
+    def stage_wire_out(self) -> None:
+        nic = self.nic
+        sim = self.sim
+        now = sim.now
+        nbytes = self.req_nbytes
+        finish = nic.wire_tx.admit(now, self.req_wire_ns)
+        obs = self.obs
+        if obs is not None:
+            obs.span("wire.request", now, finish - now, category="rnic",
+                     component=nic._component, wqe=self.wqe, nbytes=nbytes)
+        counters = nic.counters
+        total = counters.tx
+        total.bytes += nbytes
+        total.packets += 1
+        per_tc = counters.tx_per_tc[self.tc]
+        per_tc.bytes += nbytes
+        per_tc.packets += 1
+        counters.per_opcode[self.wr.opcode] += 1
+        responder = self.responder
+        if self.unacked:
+            # the local completion fires at send time; a lost frame
+            # silently drops the remote effect
+            sim.schedule_at(finish, self.stage_complete, WCStatus.SUCCESS)
+            if nic._frame_lost(nic, responder):
+                return
+            sim.schedule_at(finish + nic._transit_ns(responder),
+                            self.stage_responder_rx)
+            return
+        if nic._frame_lost(nic, responder):
+            # request frame lost: the RC retransmission timer fires
+            sim.schedule_at(finish + nic.spec.retry_timeout_ns,
+                            self.stage_retry)
+            return
+        sim.schedule_at(finish + nic._transit_ns(responder),
+                        self.stage_responder_rx)
+
+    def stage_responder_rx(self) -> None:
+        responder = self.responder
+        nbytes = self.req_nbytes
+        counters = responder.counters
+        total = counters.rx
+        total.bytes += nbytes
+        total.packets += 1
+        per_tc = counters.rx_per_tc[self.tc]
+        per_tc.bytes += nbytes
+        per_tc.packets += 1
+        sim = self.sim
+        now = sim.now
+        finish = responder.rxpu.admit(now, responder.spec.rxpu_ns)
+        robs = self.robs
+        if robs is not None:
+            robs.span("rxpu", now, finish - now, category="rnic",
+                      component=responder._component, wqe=self.wqe)
+        sim.schedule_at(finish, self.stage_translate)
+
+    def stage_translate(self) -> None:
+        sim = self.sim
+        now = sim.now
+        wr = self.wr
+        if wr.opcode.is_one_sided:
+            responder = self.responder
+            finish, _ = responder.translation.admit(
+                now, self.mr_key, self.offset, wr.length
+            )
+            robs = self.robs
+            if robs is not None:
+                robs.span("translate", now, finish - now, category="rnic",
+                          component=responder._component, wqe=self.wqe)
+        else:
+            finish = now
+        sim.schedule_at(finish, self.stage_data)
+
+    def stage_rnr_nak(self, nak_arrival: float) -> None:
+        """Responder answered Receiver-Not-Ready: back off
+        min_rnr_timer and resend, on the separate rnr_retry budget."""
+        self.rnr_attempts += 1
+        nic = self.nic
+        spec = nic.spec
+        counters = nic.counters
+        counters.rnr_naks += 1
+        if self.rnr_attempts > spec.rnr_retry:
+            self.sim.schedule_at(nak_arrival, self.stage_complete,
+                                 WCStatus.RNR_RETRY_EXC_ERR)
+            return
+        counters.retransmits += 1
+        self.sim.schedule_at(nak_arrival + spec.min_rnr_timer_ns,
+                             self.stage_fetch)
+
+    def stage_data(self) -> None:
+        wr = self.wr
+        if wr.flushed:
+            return
+        sim = self.sim
+        responder = self.responder
+        rspec = responder.spec
+        status = self.executed_status
+        if status is None:
+            qp = self.qp
+            status = execute_data_movement(qp, wr)
+            if (status is WCStatus.RNR_RETRY_EXC_ERR
+                    and qp.qp_type.acks_requests):
+                # the RNR NAK rides the responder's TxPU and the return
+                # path like any response frame (NAK loss is not
+                # modelled: a lost NAK would fall back to the slower
+                # ACK-timeout retry, same outcome later)
+                finish = responder.txpu.admit(sim.now, rspec.txpu_ns)
+                self.stage_rnr_nak(finish + responder._transit_ns(self.nic))
+                return
+            self.executed_status = status
+        opcode = wr.opcode
+        if opcode.is_atomic:
+            dma_bytes = 16  # 8 B read + 8 B write
+        else:
+            dma_bytes = wr.length
+        pcie = rspec.pcie
+        now = sim.now
+        finish = responder.pcie.admit(now, pcie.dma_occupancy_ns(dma_bytes))
+        robs = self.robs
+        if robs is not None:
+            robs.span("pcie.data", now, finish - now, category="rnic",
+                      component=responder._component, wqe=self.wqe,
+                      nbytes=dma_bytes)
+        # host-read DMAs (read/atomic responses) wait the TLP round
+        # trip — stretched by congestion; posted writes complete at
+        # the engine
+        if opcode.response_carries_payload or opcode.is_atomic:
+            round_trip = pcie.tlp_latency_ns * (
+                1.0 + responder.pcie.background_utilization
+            )
+            if rspec.ddio_enabled:
+                # DMA from the LLC when resident, bimodal otherwise
+                if responder._ddio_rng.random() < rspec.ddio_hit_rate:
+                    round_trip -= rspec.ddio_saving_ns
+                else:
+                    round_trip += rspec.ddio_miss_penalty_ns
+            finish += round_trip
+        if self.unacked:
+            # no response flow: the local completion already fired at
+            # send time
+            return
+        sim.schedule_at(finish, self.stage_response, status)
+
+    def stage_response(self, status: WCStatus) -> None:
+        responder = self.responder
+        sim = self.sim
+        now = sim.now
+        finish = responder.txpu.admit(now, responder.spec.txpu_ns)
+        robs = self.robs
+        if robs is not None:
+            robs.span("txpu.response", now, finish - now, category="rnic",
+                      component=responder._component, wqe=self.wqe)
+        sim.schedule_at(finish, self.stage_wire_back, status)
+
+    def stage_wire_back(self, status: WCStatus) -> None:
+        nic = self.nic
+        responder = self.responder
+        sim = self.sim
+        now = sim.now
+        nbytes = self.resp_nbytes
+        finish = responder.wire_tx.admit(now, self.resp_wire_ns)
+        robs = self.robs
+        if robs is not None:
+            robs.span("wire.response", now, finish - now, category="rnic",
+                      component=responder._component, wqe=self.wqe,
+                      nbytes=nbytes)
+        counters = responder.counters
+        total = counters.tx
+        total.bytes += nbytes
+        total.packets += 1
+        per_tc = counters.tx_per_tc[self.tc]
+        per_tc.bytes += nbytes
+        per_tc.packets += 1
+        if nic._frame_lost(responder, nic):
+            # ACK/response frame lost: the requester times out and
+            # resends; the responder's replay cache answers without
+            # re-executing
+            sim.schedule_at(finish + nic.spec.retry_timeout_ns,
+                            self.stage_retry)
+            return
+        sim.schedule_at(finish + responder._transit_ns(nic),
+                        self.stage_requester_rx, status)
+
+    def stage_requester_rx(self, status: WCStatus) -> None:
+        # the frames on the wire were built by the *responder*, so the
+        # byte count uses the responder's header geometry (it mirrors
+        # stage_wire_back's tx count exactly)
+        nic = self.nic
+        nbytes = self.resp_nbytes
+        counters = nic.counters
+        total = counters.rx
+        total.bytes += nbytes
+        total.packets += 1
+        per_tc = counters.rx_per_tc[self.tc]
+        per_tc.bytes += nbytes
+        per_tc.packets += 1
+        sim = self.sim
+        now = sim.now
+        spec = nic.spec
+        finish = nic.rxpu.admit(now, spec.rxpu_ns)
+        cqe = nic.pcie.admit(finish, spec.cqe_write_ns)
+        obs = self.obs
+        if obs is not None:
+            obs.span("rxpu.cqe", now, cqe - now, category="rnic",
+                     component=nic._component, wqe=self.wqe)
+        sim.schedule_at(cqe, self.stage_complete, status)
+
+    def stage_complete(self, status: WCStatus) -> None:
+        wr = self.wr
+        if wr.flushed:
+            return
+        now = self.sim.now
+        obs = self.obs
+        if obs is not None:
+            obs.span("wqe", wr.post_time, now - wr.post_time,
+                     category="rnic", component=self.nic._component,
+                     wqe=self.wqe, status=status.name)
+        self.qp.complete_send(wr, status, now)
+
+
+#: The stages' dispatch labels.  The kernel's determinism digest, the
+#: ``repro.obs`` tracer and span tracers name an event by its
+#: callback's ``__qualname__``, so these labels are part of the trace
+#: artifacts and their recorded digests; they keep the names the stages
+#: had as closures inside :meth:`RNIC.post_send`.
+_STAGES = (
+    "stage_retry", "stage_fetch", "stage_txpu", "stage_wire_out",
+    "stage_responder_rx", "stage_translate", "stage_rnr_nak", "stage_data",
+    "stage_response", "stage_wire_back", "stage_requester_rx",
+    "stage_complete",
+)
+for _stage in _STAGES:
+    getattr(_Wqe, _stage).__qualname__ = f"RNIC.post_send.<locals>.{_stage}"
+del _stage

@@ -240,45 +240,45 @@ def capture_trace_sim(
         raise ValueError(f"victim offset {victim_offset} not a candidate")
     spec = spec if spec is not None else cx5()
     config = config if config is not None else SnoopConfig()
-    cluster = Cluster(seed=seed)
-    ms = cluster.add_host("ms", spec=spec)
-    victim_host = cluster.add_host("victim-cs", spec=spec)
-    attacker_host = cluster.add_host("attacker-cs", spec=spec)
+    with Cluster(seed=seed) as cluster:
+        ms = cluster.add_host("ms", spec=spec)
+        victim_host = cluster.add_host("victim-cs", spec=spec)
+        attacker_host = cluster.add_host("attacker-cs", spec=spec)
 
-    server = ShermanMemoryServer(ms)
-    setup_conn = cluster.connect(victim_host, server.host)
-    setup_client = ShermanClient(setup_conn, server, client_id=1)
-    for key in range(1, 16):  # fill the first leaf: the "file index"
-        setup_client.insert(key, b"record")
-    file_node, _ = setup_client.locate_entry(1)
+        server = ShermanMemoryServer(ms)
+        setup_conn = cluster.connect(victim_host, server.host)
+        setup_client = ShermanClient(setup_conn, server, client_id=1)
+        for key in range(1, 16):  # fill the first leaf: the "file index"
+            setup_client.insert(key, b"record")
+        file_node, _ = setup_client.locate_entry(1)
 
-    victim_conn = cluster.connect(victim_host, server.host, max_send_wr=2)
-    attacker_conn = cluster.connect(attacker_host, server.host, max_send_wr=2)
-    rng = cluster.sim.random.stream("snoop.victim")
+        victim_conn = cluster.connect(victim_host, server.host, max_send_wr=2)
+        attacker_conn = cluster.connect(attacker_host, server.host, max_send_wr=2)
+        rng = cluster.sim.random.stream("snoop.victim")
 
-    victim_target = ProbeTarget(server.mr, file_node + victim_offset,
-                                config.read_size)
-    victim = PipelinedReader(victim_conn, lambda: victim_target, depth=2)
-    victim.start()
-
-    offsets = config.observation_offsets
-    trace = np.empty(len(offsets))
-    for index, obs_offset in enumerate(offsets):
-        # keep two probes in flight so the attacker's requests stay
-        # interleaved with the victim's in the shared translation unit
-        for _ in range(2):
-            attacker_conn.post_read(server.mr, file_node + obs_offset,
+        victim_target = ProbeTarget(server.mr, file_node + victim_offset,
                                     config.read_size)
-        ulis = []
-        while len(ulis) < config.probes_per_point:
-            wc = attacker_conn.await_completions(1)[0]
-            if not wc.ok:
-                raise RuntimeError(f"probe failed: {wc.status}")
-            ulis.append(wc.unit_latency_increase)
-            attacker_conn.post_read(server.mr, file_node + obs_offset,
-                                    config.read_size)
-        # drain the tail probes before moving to the next offset
-        attacker_conn.await_completions(2)
-        trace[index] = float(np.mean(ulis))
-    victim.stop()
+        victim = PipelinedReader(victim_conn, lambda: victim_target, depth=2)
+        victim.start()
+
+        offsets = config.observation_offsets
+        trace = np.empty(len(offsets))
+        for index, obs_offset in enumerate(offsets):
+            # keep two probes in flight so the attacker's requests stay
+            # interleaved with the victim's in the shared translation unit
+            for _ in range(2):
+                attacker_conn.post_read(server.mr, file_node + obs_offset,
+                                        config.read_size)
+            ulis = []
+            while len(ulis) < config.probes_per_point:
+                wc = attacker_conn.await_completions(1)[0]
+                if not wc.ok:
+                    raise RuntimeError(f"probe failed: {wc.status}")
+                ulis.append(wc.unit_latency_increase)
+                attacker_conn.post_read(server.mr, file_node + obs_offset,
+                                        config.read_size)
+            # drain the tail probes before moving to the next offset
+            attacker_conn.await_completions(2)
+            trace[index] = float(np.mean(ulis))
+        victim.stop()
     return trace

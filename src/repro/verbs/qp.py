@@ -20,6 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.verbs.pd import ProtectionDomain
     from repro.verbs.srq import SharedReceiveQueue
 
+#: Traffic classes (IEEE 802.1p priorities) an RNIC schedules and counts.
+NUM_TRAFFIC_CLASSES = 8
+
 
 @dataclasses.dataclass(frozen=True)
 class QPCapabilities:
@@ -54,6 +57,11 @@ class QueuePair:
         traffic_class: int = 0,
         srq: "SharedReceiveQueue | None" = None,
     ) -> None:
+        if not 0 <= traffic_class < NUM_TRAFFIC_CLASSES:
+            raise ValueError(
+                f"traffic class {traffic_class} out of range "
+                f"0..{NUM_TRAFFIC_CLASSES - 1}"
+            )
         self.pd = pd
         self.context = pd.context
         self.qp_num = qp_num

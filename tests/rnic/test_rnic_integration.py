@@ -143,6 +143,38 @@ class TestCounters:
         assert snap["tx_prio3_packets"] > 0
         assert snap["tx_prio0_packets"] == 0
 
+    def test_directions_mirror_across_the_wire(self):
+        """Every frame one NIC sends, its peer receives: the requester's
+        tx matches the responder's rx and vice versa, per class too."""
+        cluster = Cluster(seed=2)
+        server = cluster.add_host("server", spec=cx5())
+        client = cluster.add_host("client", spec=cx5())
+        conn = cluster.connect(client, server, traffic_class=5)
+        mr = server.reg_mr(64 * 1024)
+        for i in range(6):
+            conn.post_read(mr, 512 * i, 8192)
+            conn.post_write(mr, 512 * i, 100)
+        conn.await_completions(12)
+        tx, rx = client.rnic.counters, server.rnic.counters
+        for sent, got in ((tx.tx, rx.rx), (rx.tx, tx.rx),
+                          (tx.tx_per_tc[5], rx.rx_per_tc[5]),
+                          (rx.tx_per_tc[5], tx.rx_per_tc[5])):
+            assert (sent.bytes, sent.packets) == (got.bytes, got.packets)
+        assert tx.tx.packets == 12 and tx.tx_per_tc[5].bytes == tx.tx.bytes
+        assert tx.rx.bytes > 6 * 8192
+        assert dict(tx.per_opcode) == {Opcode.RDMA_READ: 6,
+                                       Opcode.RDMA_WRITE: 6}
+
+    @pytest.mark.parametrize("tc", [-1, 8])
+    def test_bad_traffic_class_rejected_at_qp_creation(self, tc):
+        cluster = Cluster(seed=1)
+        host = cluster.add_host("h", spec=cx5())
+        cq = host.context.create_cq()
+        with pytest.raises(ValueError,
+                           match=rf"traffic class {tc} out of range 0\.\.7"):
+            host.context.create_qp(host.pd, cq, traffic_class=tc)
+        assert host.pd.qps == []
+
 
 class TestFluidIntegration:
     def test_fluid_flow_inflates_probe_latency(self):

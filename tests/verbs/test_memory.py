@@ -82,3 +82,17 @@ def test_zero_length_alloc_rejected():
     mem = HostMemory()
     with pytest.raises(ValueError):
         mem.alloc(0)
+
+
+def test_cluster_exit_releases_host_memory():
+    """A discarded cluster is a reference cycle; leaving its ``with``
+    block unmaps every host's pages instead of waiting for the GC."""
+    from repro.host import Cluster
+
+    with Cluster(seed=0) as cluster:
+        host = cluster.add_host("h")
+        addr = host.memory.alloc(8)
+        host.memory.write(addr, b"resident")
+        assert host.memory.read(addr, 8) == b"resident"
+    with pytest.raises(ValueError):
+        host.memory.read(addr, 8)
